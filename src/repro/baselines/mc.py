@@ -5,22 +5,18 @@ Preprocessing stores ``R`` √c-walks per node (the trace index from
 the fraction of walk indices ``r`` whose walk from ``v_i`` shares a
 ``(step, pos)`` with walk ``r`` from ``v_j`` — eq. (2)'s meeting probability.
 
-The query is one equi-join + distinct + group-count.  It runs either as a
-Spark SQL job over the distributed trace DataFrame (``query_spark``) or as
-the identical pandas merge (``query_local``); the DuckDB oracle replays the
-same SQL in tests.  Accuracy scales as ``√(log n / R)`` — the
-``O(n log n/ε²)`` preprocessing wall the paper highlights.
+The query is one equi-join + distinct + group-count, run as a pandas merge
+(``query_local``); the DuckDB oracle replays the same SQL in tests.
+Accuracy scales as ``√(log n / R)`` — the ``O(n log n/ε²)`` preprocessing
+wall the paper highlights.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.graph import Graph
 from repro.walks import traces
@@ -29,8 +25,7 @@ from repro.walks import traces
 @dataclass
 class MCIndex:
     r_per_node: int
-    trace_pdf: Optional[pd.DataFrame]  # local engine
-    trace_df: Optional[DataFrame]  # spark engine
+    trace_pdf: pd.DataFrame
     seconds_preprocess: float
     rows: int
 
@@ -45,18 +40,11 @@ def preprocess(
     r_per_node: int,
     c: float = 0.6,
     seed: int = 0,
-    engine: str = "local",
 ) -> MCIndex:
     """Simulate and store R √c-walks per node."""
     t0 = time.perf_counter()
-    if engine == "spark":
-        df = traces.build_trace_index(
-            graph, r_per_node=r_per_node, c=c, seed=seed
-        ).cache()
-        rows = df.count()
-        return MCIndex(r_per_node, None, df, time.perf_counter() - t0, rows)
     pdf = traces.trace_rows_local(graph, r_per_node=r_per_node, c=c, seed=seed)
-    return MCIndex(r_per_node, pdf, None, time.perf_counter() - t0, len(pdf))
+    return MCIndex(r_per_node, pdf, time.perf_counter() - t0, len(pdf))
 
 
 @dataclass
@@ -76,7 +64,7 @@ def _scores_from_counts(
 
 
 def query_local(graph: Graph, index: MCIndex, source: int) -> MCResult:
-    """Pandas twin of the Spark query (same join, same estimator)."""
+    """Meeting counts of the source's walks against every other node's."""
     t0 = time.perf_counter()
     t = index.trace_pdf
     ti = t[t["node"] == source][["r", "step", "pos"]]
@@ -87,24 +75,6 @@ def query_local(graph: Graph, index: MCIndex, source: int) -> MCResult:
         .groupby("node", as_index=False)
         .size()
         .rename(columns={"size": "meets"})
-    )
-    s = _scores_from_counts(graph, source, index.r_per_node, counts)
-    return MCResult(scores=s, seconds_query=time.perf_counter() - t0)
-
-
-def query_spark(graph: Graph, index: MCIndex, source: int) -> MCResult:
-    """Distributed query: join the source's traces against the whole index."""
-    t0 = time.perf_counter()
-    t = index.trace_df
-    ti = t.filter(F.col("node") == source).select("r", "step", "pos")
-    counts = (
-        t.filter(F.col("node") != source)
-        .join(ti, ["r", "step", "pos"])
-        .select("node", "r")
-        .distinct()
-        .groupBy("node")
-        .agg(F.count("*").alias("meets"))
-        .toPandas()
     )
     s = _scores_from_counts(graph, source, index.r_per_node, counts)
     return MCResult(scores=s, seconds_query=time.perf_counter() - t0)

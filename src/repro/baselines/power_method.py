@@ -1,25 +1,16 @@
 """Power Method — the classic exact all-pairs SimRank algorithm [Jeh–Widom].
 
 The paper uses Power Method as the ground truth on small graphs (its
-``O(n²)`` space/time is the very reason ExactSim exists).  We implement it
-
-* densely in numpy (``simrank_power``) — the ground-truth oracle for every
-  accuracy experiment on small graphs, iterating
-  ``S ← (c Pᵀ S P) ∨ I`` until the ``c^t`` convergence bound is below ``tol``;
-* as a Spark DataFrame program (``simrank_power_df``) over the pairs table
-  ``(a, b, val)`` — two message-passing joins per iteration, the direct
-  distributed translation of the same recurrence.  Tests assert both agree;
-  the DataFrame variant is only run on tiny graphs, which is faithful to the
-  paper's point that all-pairs computation does not scale.
+``O(n²)`` space/time is the very reason ExactSim exists).  ``simrank_power``
+iterates ``S ← (c Pᵀ S P) ∨ I`` densely in numpy until the ``c^t``
+convergence bound is below ``tol``; ``simrank_direct_solve`` solves the
+pair-walk linear system on tiny graphs as an independent check.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.graph import Graph
 
@@ -37,41 +28,6 @@ def simrank_power(graph: Graph, *, c: float = 0.6, tol: float = 1e-10) -> np.nda
     for _ in range(power_iterations(c, tol)):
         S = c * (P.T @ S @ P)
         np.fill_diagonal(S, 1.0)  # the ∨I step: diagonal pinned to 1
-    return S
-
-
-def simrank_power_df(graph: Graph, *, c: float = 0.6, iters: int = 10) -> DataFrame:
-    """All-pairs SimRank as an iterated DataFrame program.
-
-    State is the sparse pairs table ``S(a, b) = val``.  One iteration is
-    ``T1 = Pᵀ·S`` (join on the first index) then ``T2 = T1·P`` (join on the
-    second), scale by ``c`` and pin the diagonal — exactly the dense
-    recurrence, expressed as two aggregate-message joins.
-    """
-    spark = graph.spark
-    t = graph.transition_df()
-    diag = spark.range(graph.n).select(
-        F.col("id").alias("a"), F.col("id").alias("b"), F.lit(1.0).alias("val")
-    )
-    S = diag
-    for it in range(iters):
-        t1 = (
-            t.join(S, t["src"] == S["a"])
-            .groupBy(F.col("dst").alias("a"), F.col("b"))
-            .agg(F.sum(F.col("w") * F.col("val")).alias("val"))
-        )
-        t2 = (
-            t.join(t1, t["src"] == t1["b"])
-            .groupBy(F.col("a"), F.col("dst").alias("b"))
-            .agg(F.sum(F.col("w") * F.col("val")).alias("val"))
-        )
-        S = (
-            t2.filter(F.col("a") != F.col("b"))
-            .select("a", "b", (F.lit(c) * F.col("val")).alias("val"))
-            .unionByName(diag)
-        )
-        # Truncate lineage: the plan doubles in depth per iteration otherwise.
-        S = S.localCheckpoint(eager=True)
     return S
 
 
@@ -106,12 +62,3 @@ def simrank_direct_solve(graph: Graph, *, c: float = 0.6) -> np.ndarray:
                 for bp in ib:
                     A[idx, ap * n + bp] -= coef
     return np.linalg.solve(A, rhs).reshape(n, n)
-
-
-def pairs_df_to_dense(n: int, df: DataFrame) -> np.ndarray:
-    """Collect a sparse pairs table back into a dense matrix (tests only)."""
-    pdf: pd.DataFrame = df.toPandas()
-    S = np.zeros((n, n))
-    if len(pdf):
-        S[pdf["a"].to_numpy(), pdf["b"].to_numpy()] = pdf["val"].to_numpy()
-    return S

@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core import diagonal, linearized
 from repro.graphs.graph import Graph
@@ -72,8 +70,7 @@ class PRSimIndex:
     entries: int
     total_pairs: int
     seconds_preprocess: float
-    index_pdf: Optional[pd.DataFrame]  # (ell, k, j, val), local engine
-    index_df: Optional[DataFrame]  # spark engine
+    index_pdf: pd.DataFrame  # (ell, k, j, val)
 
     def index_bytes(self) -> int:
         """Stored (ell, k, j, val) rows + the diagonal estimate."""
@@ -89,7 +86,6 @@ def preprocess(
     max_entries: Optional[int] = None,
     max_pairs: Optional[int] = None,
     max_push_edges: Optional[int] = None,
-    engine: str = "local",
     walk_engine: str = "local",
 ) -> PRSimIndex:
     """Build the truncated ℓ-hop PPR index for every node + estimate D̂.
@@ -115,35 +111,6 @@ def preprocess(
     )
 
     # --- the vectors index. ---
-    if engine == "spark":
-        bc = graph.broadcast_csr()
-        spark = graph.spark
-        chunks = list(range(0, graph.n, 256))
-        adf = spark.createDataFrame(
-            pd.DataFrame({"lo": chunks}), schema="lo long"
-        ).repartition(max(2, spark.sparkContext.defaultParallelism))
-
-        def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            csr = bc.value
-            for pdf in batches:
-                for row in pdf.itertuples(index=False):
-                    for s in range(int(row.lo), min(int(row.lo) + 256, csr.n)):
-                        levels, _e, _c = linearized.forward_sparse_levels(
-                            csr, s, c=c, L=L, threshold=thr
-                        )
-                        yield _levels_to_rows(s, levels)
-
-        df = adf.mapInPandas(
-            run, schema="ell long, k long, j long, val double"
-        ).cache()
-        entries = df.count()
-        if max_entries is not None and entries > max_entries:
-            df.unpersist()
-            raise BudgetExceeded(f"PRSim index {entries:.2e} entries > cap")
-        return PRSimIndex(
-            eps, L, d_hat, int(entries), total, time.perf_counter() - t0, None, df
-        )
-
     frames = []
     entries = 0
     push_edges = 0
@@ -164,9 +131,7 @@ def preprocess(
         frames.append(_levels_to_rows(s, levels))
     pdf = pd.concat(frames, ignore_index=True)
     pdf = pdf.astype({"ell": "int64", "k": "int64", "j": "int64", "val": "float64"})
-    return PRSimIndex(
-        eps, L, d_hat, entries, total, time.perf_counter() - t0, pdf, None
-    )
+    return PRSimIndex(eps, L, d_hat, entries, total, time.perf_counter() - t0, pdf)
 
 
 @dataclass
@@ -195,26 +160,4 @@ def query_local(
     agg = joined.assign(term=joined["val"] * joined["w"]).groupby("j")["term"].sum()
     s = np.zeros(graph.n)
     s[agg.index.to_numpy()] = agg.to_numpy() / (1.0 - math.sqrt(c)) ** 2
-    return PRSimResult(scores=s, seconds_query=time.perf_counter() - t0)
-
-
-def query_spark(
-    graph: Graph, index: PRSimIndex, source: int, *, c: float = 0.6
-) -> PRSimResult:
-    """Eq.-7 join as a Spark SQL job over the distributed index."""
-    t0 = time.perf_counter()
-    srows = _source_rows(graph, source, index, c)
-    srows["w"] = srows["val_i"] * index.d_hat[srows["k"].to_numpy()]
-    sdf = graph.spark.createDataFrame(
-        srows[["ell", "k", "w"]], schema="ell long, k long, w double"
-    )
-    agg = (
-        index.index_df.join(sdf, ["ell", "k"])
-        .groupBy("j")
-        .agg(F.sum(F.col("val") * F.col("w")).alias("term"))
-        .toPandas()
-    )
-    s = np.zeros(graph.n)
-    if len(agg):
-        s[agg["j"].to_numpy()] = agg["term"].to_numpy() / (1.0 - math.sqrt(c)) ** 2
     return PRSimResult(scores=s, seconds_query=time.perf_counter() - t0)

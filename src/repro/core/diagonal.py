@@ -92,9 +92,8 @@ def estimate_D_mc(
 
     Nodes outside ``nodes`` get ``default`` (``1-c`` unless specified) — they
     carry zero weight in the backward phase because their π_i entries vanish.
-    ``engine`` picks the distributed (``spark``) or in-process (``local``)
-    walk runner; both consume identical seeds and thus return identical
-    counts.
+    ``engine`` (``'local'`` or ``'spark'``) picks where the walks run; both
+    consume identical seeds and thus return identical counts.
     """
     d_hat = np.full(graph.n, (1.0 - c) if default is None else default)
     if nodes.size == 0:
@@ -102,10 +101,7 @@ def estimate_D_mc(
     assignments = pair_walks.make_assignments(
         graph, nodes, counts, np.zeros(nodes.size, dtype=np.int64), seed
     )
-    if engine == "spark":
-        res = pair_walks.simulate_pairs_spark(graph, assignments, c=c)
-    else:
-        res = pair_walks.simulate_pairs_local(graph, assignments, c=c)
+    res = pair_walks.simulate_pairs(graph, assignments, c=c, engine=engine)
     res = res.set_index("node")
     met = res["met"].reindex(nodes).to_numpy(dtype=np.float64)
     tot = res["pairs"].reindex(nodes).to_numpy(dtype=np.float64)

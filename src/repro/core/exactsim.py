@@ -70,14 +70,17 @@ def exactsim(
 ) -> ExactSimResult:
     """Answer a single-source SimRank query with additive error ``<= eps`` whp.
 
-    ``walk_engine`` selects where the D-estimation walks run (``'spark'`` for
-    the distributed ``mapInPandas`` path, ``'local'`` in-process — identical
-    seeds, identical output).  The mat-vec phases use the numpy kernels; the
-    DataFrame mat-vec engine is exercised and pinned equal in tests
-    (DESIGN.md §3 layering).
+    ``walk_engine`` selects where the D estimation runs (``'spark'`` spreads
+    it over the cluster with ``graphs.graph.run_partitioned``, ``'local'``
+    runs it in-process — identical seeds, identical output).  The mat-vec
+    phases run on the driver (DESIGN.md §3 layering).
     """
     if variant not in ("basic", "opt"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"c must be in (0, 1), got {c!r}")
     if not (0 <= source < graph.n):
         raise ValueError("source out of range")
     csr = graph.csr

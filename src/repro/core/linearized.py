@@ -14,8 +14,7 @@ The forward vectors are what costs memory (``O(n log 1/ε)`` dense); the
 storage by ``O(1/ε)`` at an extra ``ε`` additive error.  ``ForwardResult``
 carries exact stored-entry accounting for the Table-3 reproduction.
 
-Both phases exist in the numpy engine and in the Spark DataFrame engine
-(message-passing mat-vecs from ``linalg.matvec``); tests pin their agreement.
+Both phases are driver-side numpy mat-vecs from ``linalg.matvec``.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.graphs.graph import CSRGraph, Graph
+from repro.graphs.graph import CSRGraph
 from repro.linalg import matvec as mv
 
 
@@ -69,7 +68,7 @@ def forward(
     L: int,
     threshold: float = 0.0,
 ) -> ForwardResult:
-    """Compute ``π_i^ℓ`` for ℓ = 0..L (numpy engine).
+    """Compute ``π_i^ℓ`` for ℓ = 0..L.
 
     ``threshold > 0`` applies the Lemma-2 sparsification after every hop:
     entries ``<= threshold`` are zeroed *before* being stored or propagated,
@@ -98,7 +97,7 @@ def backward(
     *,
     c: float,
 ) -> np.ndarray:
-    """Accumulate ``s^L`` from the stored ℓ-hop PPR vectors (numpy engine)."""
+    """Accumulate ``s^L`` from the stored ℓ-hop PPR vectors."""
     sqrt_c = math.sqrt(c)
     scale = 1.0 / (1.0 - sqrt_c)
     s = scale * d_hat * fwd.pis[fwd.L]
@@ -117,7 +116,7 @@ def single_source(
     sparse: bool = False,
     L: Optional[int] = None,
 ) -> tuple[np.ndarray, ForwardResult]:
-    """Full linearized query with a given ``D̂`` (numpy engine)."""
+    """Full linearized query with a given ``D̂``."""
     L = iterations_for(eps, c) if L is None else L
     thr = sparse_threshold(eps, c) if sparse else 0.0
     fwd = forward(csr, source, c=c, L=L, threshold=thr)
@@ -156,48 +155,3 @@ def forward_sparse_levels(
         if idx.size == 0:
             break
     return levels, entries, edges
-
-
-# ---------------------------------------------------------------------------
-# Spark DataFrame engine — same recurrences as message-passing joins.
-# ---------------------------------------------------------------------------
-
-
-def forward_df(graph: Graph, source: int, *, c: float, L: int) -> List[np.ndarray]:
-    """``π_i^ℓ`` for ℓ = 0..L computed on the DataFrame engine.
-
-    Each hop is one edge-join mat-vec; ``localCheckpoint`` every hop keeps the
-    plan flat.  Returns dense collected vectors so callers can compare engines.
-    """
-    sqrt_c = math.sqrt(c)
-    pi0 = np.zeros(graph.n)
-    pi0[source] = 1.0 - sqrt_c
-    t = graph.transition_df()
-    cur = mv.vec_to_df(graph, pi0)
-    out = [pi0]
-    for _ in range(L):
-        cur = (
-            mv.matvec_P_df(t, cur)
-            .select("id", (mv.F.lit(sqrt_c) * mv.F.col("val")).alias("val"))
-            .localCheckpoint(eager=True)
-        )
-        out.append(mv.df_to_vec(graph.n, cur))
-    return out
-
-
-def backward_df(
-    graph: Graph, pis: List[np.ndarray], d_hat: np.ndarray, *, c: float
-) -> np.ndarray:
-    """``s^L`` accumulated on the DataFrame engine (mirror of :func:`backward`)."""
-    sqrt_c = math.sqrt(c)
-    scale = 1.0 / (1.0 - sqrt_c)
-    L = len(pis) - 1
-    t = graph.transition_df()
-    s = mv.vec_to_df(graph, scale * d_hat * pis[L])
-    for ell in range(1, L + 1):
-        stepped = mv.matvec_PT_df(t, s).select(
-            "id", (mv.F.lit(sqrt_c) * mv.F.col("val")).alias("val")
-        )
-        inject = mv.vec_to_df(graph, scale * d_hat * pis[L - ell])
-        s = mv.axpy_df(1.0, stepped, inject).localCheckpoint(eager=True)
-    return mv.df_to_vec(graph.n, s)

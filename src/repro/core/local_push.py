@@ -17,20 +17,20 @@ deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
 (``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
 what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 
-The driver parallelizes *across nodes* with ``mapInPandas`` + the broadcast
-CSR graph, grouping nodes with similar ``R(k)`` per partition — the paper's
-own parallelization prescription (§3.2 "Parallelization").
+The driver parallelizes *across nodes* with ``graphs.graph.run_partitioned``,
+spreading nodes ranked by ``R(k)`` over the partitions — the paper's own
+parallelization prescription (§3.2 "Parallelization").
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import pandas as pd
 
-from repro.graphs.graph import CSRGraph, Graph
+from repro.graphs.graph import CSRGraph, Graph, run_partitioned
 from repro.linalg import matvec as mv
 from repro.walks.pair_walks import pair_meet_count
 
@@ -232,9 +232,11 @@ def estimate_D_local_push(
     """Estimate ``D̂`` for the given nodes with Algorithm 3.
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
-    ``(node, d_hat, ell, pairs)``.  The Spark engine partitions nodes sorted
-    by ``R(k)`` so tasks carry similar budgets (the paper's load-balancing
-    rule); seeds are per-node so both engines agree exactly.
+    ``(node, d_hat, ell, pairs)``.  ``engine`` (``'local'`` or ``'spark'``)
+    picks where the nodes run.  Work rows are sorted by ``R(k)``, so each
+    slice Spark reads holds one band of budgets, which the round-robin
+    spread splits evenly over the tasks (the paper's load-balancing rule);
+    seeds are per node so both engines agree exactly.
     """
     order = np.argsort(counts, kind="stable")[::-1]
     nodes, counts = nodes[order], counts[order]
@@ -246,7 +248,7 @@ def estimate_D_local_push(
         }
     )
 
-    def run_chunk(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
+    def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
         out = []
         for row in pdf.itertuples(index=False):
             rng = np.random.default_rng(int(row.seed))
@@ -256,30 +258,13 @@ def estimate_D_local_push(
             out.append((int(row.node), d_hat, ell, pairs))
         return pd.DataFrame(out, columns=["node", "d_hat", "ell", "pairs"])
 
-    if engine == "spark":
-        bc = graph.broadcast_csr()
-        spark = graph.spark
-        par = max(2, spark.sparkContext.defaultParallelism)
-        # Round-robin by budget rank → partitions hold similar R(k) mixes.
-        work = work.assign(part=np.arange(len(work)) % par)
-        wdf = spark.createDataFrame(work, schema="node long, r_k long, seed long, part long")
-        wdf = wdf.repartition(par, "part")
-
-        def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            csr = bc.value
-            for pdf in batches:
-                yield run_chunk(csr, pdf)
-
-        stats = (
-            wdf.mapInPandas(run, schema="node long, d_hat double, ell long, pairs long")
-            .toPandas()
-            .sort_values("node")
-            .reset_index(drop=True)
+    stats = (
+        run_partitioned(
+            graph, work, kernel, "node long, d_hat double, ell long, pairs long", engine
         )
-    else:
-        stats = (
-            run_chunk(graph.csr, work).sort_values("node").reset_index(drop=True)
-        )
+        .sort_values("node")
+        .reset_index(drop=True)
+    )
     d = np.full(graph.n, (1.0 - c) if default is None else default)
     d[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
     return d, stats

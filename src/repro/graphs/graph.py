@@ -2,11 +2,11 @@
 
 A :class:`Graph` owns two synchronized representations of the same edge set:
 
-* a Spark DataFrame of edges ``(src, dst)`` — the distributed-dataflow side,
-  used by the DataFrame mat-vec engine and by the DuckDB oracle tests;
+* a Spark DataFrame of edges ``(src, dst)`` — the SQL side, which the DuckDB
+  oracle tests replay;
 * numpy arrays (edge lists, in-degrees, in-adjacency CSR) — the vectorized
-  kernel side, broadcast once per graph to executors for the random-walk and
-  local-exploitation phases (``mapInPandas`` tasks index into them directly).
+  kernel side, broadcast once per graph to executors for the D-estimation
+  phase (:func:`run_partitioned` tasks index into them directly).
 
 Edge semantics follow the paper: a directed edge ``u -> v`` makes ``u`` an
 *in-neighbor* of ``v`` (``u ∈ I(v)``).  The reverse transition matrix is
@@ -17,7 +17,7 @@ present, so ``I(v)`` equals the neighbor set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
@@ -138,7 +138,7 @@ class Graph:
         )
 
     def broadcast_csr(self):
-        """Broadcast the numpy CSR once; reused by all walk/push stages."""
+        """Broadcast the numpy CSR once; reused by every :func:`run_partitioned`."""
         if self._bc is None:
             if self.spark is None:
                 raise RuntimeError("Graph was built without a SparkSession")
@@ -156,6 +156,39 @@ class Graph:
         d = self.csr.din[self.csr.dst].astype(float)
         np.add.at(P, (self.csr.src, self.csr.dst), 1.0 / d)
         return P
+
+
+def run_partitioned(
+    graph: Graph,
+    work: pd.DataFrame,
+    kernel: Callable[[CSRGraph, pd.DataFrame], pd.DataFrame],
+    schema: str,
+    engine: str,
+) -> pd.DataFrame:
+    """Apply a per-row ``kernel(csr, rows) -> frame`` to every row of ``work``.
+
+    ``engine='local'`` calls the kernel once in-process.  ``engine='spark'``
+    spreads the rows round-robin over ``max(2, defaultParallelism)``
+    partitions, runs the kernel on each Arrow batch against the broadcast CSR
+    graph (``schema`` is its output schema) and collects the result — the
+    paper's parallelization of the D estimation (§3.2).  Row order in the
+    result is unspecified; a kernel that draws random numbers must seed them
+    per row so both engines return the same rows.
+    """
+    if engine == "local":
+        return kernel(graph.csr, work)
+    if engine != "spark":
+        raise ValueError(f"unknown engine {engine!r}")
+    bc = graph.broadcast_csr()
+    spark = graph.spark
+    # Plain round-robin: hash placement of a column like ``rank % par`` can
+    # send two values to one partition and leave a core idle.
+    wdf = spark.createDataFrame(work).repartition(
+        max(2, spark.sparkContext.defaultParallelism)
+    )
+    return wdf.mapInPandas(
+        lambda batches: (kernel(bc.value, pdf) for pdf in batches), schema=schema
+    ).toPandas()
 
 
 def from_edges(

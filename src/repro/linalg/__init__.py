@@ -1,2 +1,1 @@
-"""Sparse transition-matrix linear algebra: numpy kernels and the Spark
-DataFrame message-passing engine."""
+"""Sparse transition-matrix linear algebra: numpy mat-vec and local-push kernels."""

@@ -1,14 +1,8 @@
 """Sparse matrix–vector products for the (reverse) transition matrix ``P``.
 
-Two engines compute the same arithmetic:
-
-* ``numpy`` — ``np.bincount`` over the edge list.  Used by the parameter
-  sweeps where the vector fits in driver memory (DESIGN.md §3).
-* ``spark`` — the GraphX-``aggregateMessages`` equivalent in DataFrame form:
-  join the weighted edge table with the vector table, ``groupBy`` the
-  receiving endpoint, sum the messages.  Used to demonstrate the scale-out
-  dataflow; tests assert bit-for-bit-level agreement with the numpy engine
-  (up to fp summation order) and against the DuckDB oracle.
+Dense mat-vecs are one ``np.bincount`` over the edge list (the vectors live
+in driver memory, DESIGN.md §3); :func:`expand_sparse` is the local-push
+form whose cost scales with the vector's support.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -19,15 +13,8 @@ Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.graphs.graph import CSRGraph, Graph
-
-# ---------------------------------------------------------------------------
-# numpy engine
-# ---------------------------------------------------------------------------
+from repro.graphs.graph import CSRGraph
 
 
 def matvec_P(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
@@ -76,55 +63,3 @@ def expand_sparse(
     acc = np.bincount(inv, weights=w, minlength=uniq.size)
     keep2 = np.abs(acc) > prune
     return uniq[keep2], acc[keep2], total
-
-
-# ---------------------------------------------------------------------------
-# Spark DataFrame engine
-# ---------------------------------------------------------------------------
-
-VEC_COLS = ("id", "val")
-
-
-def vec_to_df(graph: Graph, v: np.ndarray) -> DataFrame:
-    """Sparse DataFrame view ``(id, val)`` of a numpy vector (zeros dropped)."""
-    nz = np.flatnonzero(v)
-    pdf = pd.DataFrame({"id": nz.astype(np.int64), "val": v[nz]})
-    return graph.spark.createDataFrame(pdf, schema="id long, val double")
-
-
-def df_to_vec(n: int, df: DataFrame) -> np.ndarray:
-    """Collect a ``(id, val)`` DataFrame back into a dense numpy vector."""
-    pdf = df.toPandas()
-    out = np.zeros(n)
-    if len(pdf):
-        out[pdf["id"].to_numpy()] = pdf["val"].to_numpy()
-    return out
-
-
-def matvec_P_df(transition: DataFrame, vec: DataFrame) -> DataFrame:
-    """``P · v`` as message passing: each edge ``i->j`` pulls ``w·v(j)`` to i.
-
-    ``transition`` is ``Graph.transition_df()`` (``src, dst, w``), ``vec`` is a
-    sparse ``(id, val)`` table.  The join keys on the *destination*, the
-    aggregation lands on the *source* — the dataflow dual of ``matvec_PT_df``.
-    """
-    return (
-        transition.join(vec, transition["dst"] == vec["id"])
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.sum(F.col("w") * F.col("val")).alias("val"))
-    )
-
-
-def matvec_PT_df(transition: DataFrame, vec: DataFrame) -> DataFrame:
-    """``Pᵀ · v``: each edge ``i->j`` pushes ``w·v(i)`` to j."""
-    return (
-        transition.join(vec, transition["src"] == vec["id"])
-        .groupBy(F.col("dst").alias("id"))
-        .agg(F.sum(F.col("w") * F.col("val")).alias("val"))
-    )
-
-
-def axpy_df(a: float, x: DataFrame, y: DataFrame) -> DataFrame:
-    """``a·x + y`` over sparse ``(id, val)`` tables (full outer union-sum)."""
-    ax = x.select("id", (F.lit(float(a)) * F.col("val")).alias("val"))
-    return ax.unionByName(y).groupBy("id").agg(F.sum("val").alias("val"))

@@ -1,2 +1,2 @@
-"""√c-walk simulation kernels: pair walks (D estimation) and trace indexes
-(MC baseline), both mapInPandas-distributable."""
+"""√c-walk simulation kernels: pair walks (D estimation, in-process or on
+Spark) and the MC baseline's trace index."""

@@ -11,23 +11,21 @@ The paper's D-estimators simulate *pairs* of √c-walks from a node ``v_k``:
   the rest whose √c-continuations meet, scaled by ``c^{ℓ0}``, estimates the
   tail ``Σ_{ℓ>ℓ0} Z_ℓ(k)`` (see DESIGN.md and the Lemma 4 discussion).
 
-``meet_fractions`` is the vectorized numpy kernel (arrays shrink as pairs
+``pair_meet_count`` is the vectorized numpy kernel (arrays shrink as pairs
 finish; expected √c-walk length is ``1/(1-√c) ≈ 4.4`` steps so the loop is
-short).  ``simulate_pairs_spark`` distributes it with ``mapInPandas`` over a
-DataFrame of per-node chunk assignments and the broadcast CSR graph — the
-paper's "embarrassingly parallel" phase, load-balanced by chunking ``R(k)``.
+short).  ``simulate_pairs`` runs it over a frame of per-node chunk
+assignments, in-process or on Spark through ``graphs.graph.run_partitioned``
+— the paper's "embarrassingly parallel" phase, load-balanced by chunking
+``R(k)``.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.graphs.graph import CSRGraph, Graph
+from repro.graphs.graph import CSRGraph, Graph, run_partitioned
 
 #: Hard cap on walk length: the probability a √c-walk pair survives t steps is
 #: c^t, so the truncation bias at 300 steps is ~1e-66 — far below ε_min.
@@ -124,79 +122,41 @@ def make_assignments(
     return pd.DataFrame(rows, columns=["node", "pairs", "nonstop", "seed"])
 
 
-def simulate_pairs_spark(
-    graph: Graph,
-    assignments: pd.DataFrame,
-    *,
-    c: float,
+def simulate_pairs(
+    graph: Graph, assignments: pd.DataFrame, *, c: float, engine: str
 ) -> pd.DataFrame:
-    """Run the pair-walk kernel for every assignment row on the cluster.
+    """Run the pair-walk kernel for every assignment row.
 
     Returns one row per (node, nonstop) with summed ``met``/``pairs`` counts.
-    The CSR graph rides a Spark broadcast; each task simulates its chunks with
-    the vectorized kernel, which is the paper's multi-core parallelization of
-    the random-walk phase.
+    Each row seeds its own generator, so ``engine='spark'`` (rows spread
+    over the cluster with :func:`run_partitioned`) and ``engine='local'``
+    return identical counts.
     """
-    bc = graph.broadcast_csr()
-    spark = graph.spark
-    adf = spark.createDataFrame(
-        assignments, schema="node long, pairs long, nonstop long, seed long"
-    ).repartition(max(2, spark.sparkContext.defaultParallelism))
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr = bc.value
-        for pdf in batches:
-            out = []
-            for row in pdf.itertuples(index=False):
-                rng = np.random.default_rng(int(row.seed))
-                met = pair_meet_count(
-                    csr,
-                    int(row.node),
-                    int(row.pairs),
-                    c=c,
-                    rng=rng,
-                    nonstop_steps=int(row.nonstop),
-                )
-                out.append((row.node, row.nonstop, met, row.pairs))
-            yield pd.DataFrame(
-                out, columns=["node", "nonstop", "met", "pairs"]
+    def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
+        out = []
+        for row in pdf.itertuples(index=False):
+            rng = np.random.default_rng(int(row.seed))
+            met = pair_meet_count(
+                csr,
+                int(row.node),
+                int(row.pairs),
+                c=c,
+                rng=rng,
+                nonstop_steps=int(row.nonstop),
             )
+            out.append((int(row.node), int(row.nonstop), met, int(row.pairs)))
+        return pd.DataFrame(out, columns=["node", "nonstop", "met", "pairs"])
 
-    res = adf.mapInPandas(
-        run, schema="node long, nonstop long, met long, pairs long"
+    res = run_partitioned(
+        graph,
+        assignments,
+        kernel,
+        "node long, nonstop long, met long, pairs long",
+        engine,
     )
-    agg = (
-        res.groupBy("node", "nonstop")
-        .agg(F.sum("met").alias("met"), F.sum("pairs").alias("pairs"))
-        .toPandas()
-    )
-    return agg
-
-
-def simulate_pairs_local(
-    graph: Graph, assignments: pd.DataFrame, *, c: float
-) -> pd.DataFrame:
-    """Same contract as :func:`simulate_pairs_spark`, single-process.
-
-    Used by unit tests (no Spark needed) and as the reference the Spark path
-    must agree with (identical seeds ⇒ identical counts).
-    """
-    csr = graph.csr
-    out = []
-    for row in assignments.itertuples(index=False):
-        rng = np.random.default_rng(int(row.seed))
-        met = pair_meet_count(
-            csr,
-            int(row.node),
-            int(row.pairs),
-            c=c,
-            rng=rng,
-            nonstop_steps=int(row.nonstop),
-        )
-        out.append((row.node, row.nonstop, met, row.pairs))
-    pdf = pd.DataFrame(out, columns=["node", "nonstop", "met", "pairs"])
     return (
-        pdf.groupby(["node", "nonstop"], as_index=False)[["met", "pairs"]]
+        res.groupby(["node", "nonstop"], as_index=False)[["met", "pairs"]]
         .sum()
         .astype({"node": "int64", "nonstop": "int64", "met": "int64", "pairs": "int64"})
     )

@@ -8,17 +8,14 @@ differ there).
 
 ``Ŝ(i, j)`` = fraction of indices ``r`` for which walk ``r`` of ``i`` and
 walk ``r`` of ``j`` share some ``(step, pos)`` — a plain equi-join, which the
-MC baseline executes as a Spark SQL query (and which the DuckDB oracle can
-replay verbatim).
+MC baseline executes in pandas (and which the DuckDB oracle can replay
+verbatim).
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.graphs.graph import CSRGraph, Graph
 from repro.walks.pair_walks import MAX_STEPS
@@ -62,51 +59,13 @@ def walk_trace_arrays(
     )
 
 
-def build_trace_index(
-    graph: Graph, *, r_per_node: int, c: float, seed: int
-) -> DataFrame:
-    """Distributed MC preprocessing: R √c-walks per node, stored as traces.
-
-    Nodes are chunked into assignment rows (one per ~64 nodes) so the walk
-    simulation parallelizes across the cluster with the broadcast CSR graph.
-    Deterministic per (seed, node).
-    """
-    bc = graph.broadcast_csr()
-    spark = graph.spark
-    nodes = np.arange(graph.n, dtype=np.int64)
-    chunks = [nodes[i : i + 64] for i in range(0, graph.n, 64)]
-    adf = spark.createDataFrame(
-        pd.DataFrame({"lo": [int(ch[0]) for ch in chunks], "hi": [int(ch[-1]) for ch in chunks]}),
-        schema="lo long, hi long",
-    ).repartition(max(2, spark.sparkContext.defaultParallelism))
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr = bc.value
-        for pdf in batches:
-            for row in pdf.itertuples(index=False):
-                ns = np.arange(int(row.lo), int(row.hi) + 1, dtype=np.int64)
-                starts = np.repeat(ns, r_per_node)
-                rng = np.random.default_rng((seed * 1_000_003 + int(row.lo)) & 0x7FFFFFFF)
-                widx, step, pos = walk_trace_arrays(csr, starts, c=c, rng=rng)
-                yield pd.DataFrame(
-                    {
-                        "node": starts[widx],
-                        "r": (widx % r_per_node).astype(np.int64),
-                        "step": step,
-                        "pos": pos,
-                    }
-                )
-
-    return adf.mapInPandas(run, schema="node long, r long, step long, pos long")
-
-
 def trace_rows_local(
     graph: Graph, *, r_per_node: int, c: float, seed: int
 ) -> pd.DataFrame:
-    """Single-process trace builder with the same (seed, node)-chunk layout.
+    """Trace rows ``(node, r, step, pos)`` of R √c-walks from every node.
 
-    Must produce byte-identical rows to :func:`build_trace_index` — tests
-    assert that — so either engine can back the MC query.
+    Nodes go in chunks of 64, each with its own generator seeded from
+    ``(seed, first node)``, so a configuration replays the same walks.
     """
     csr = graph.csr
     frames = []

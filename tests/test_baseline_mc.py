@@ -1,4 +1,4 @@
-"""MC baseline: estimator correctness, engines, the oracle-replayed join."""
+"""MC baseline: estimator correctness, accounting, the oracle-replayed join."""
 import numpy as np
 
 from repro.baselines import mc
@@ -50,23 +50,14 @@ def test_mc_index_accounting():
     assert idx.seconds_preprocess > 0
 
 
-def test_mc_spark_query_matches_local(spark):
-    g = gen.load("GQ-lite", spark)
-    idx_local = mc.preprocess(g, r_per_node=50, c=C, seed=5, engine="local")
-    idx_spark = mc.preprocess(g, r_per_node=50, c=C, seed=5, engine="spark")
-    a = mc.query_local(g, idx_local, 7)
-    b = mc.query_spark(g, idx_spark, 7)
-    np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
-
-
 def test_mc_query_oracle(spark):
     """Replay the meeting-count join in DuckDB over the same trace table."""
     g = gen.load("GQ-lite", spark)
-    idx = mc.preprocess(g, r_per_node=20, c=C, seed=6, engine="spark")
+    idx = mc.preprocess(g, r_per_node=20, c=C, seed=6)
     source = 7
     from pyspark.sql import functions as F
 
-    t = idx.trace_df
+    t = spark.createDataFrame(idx.trace_pdf)
     ti = t.filter(F.col("node") == source).select("r", "step", "pos")
     counts = (
         t.filter(F.col("node") != source)
@@ -86,5 +77,5 @@ def test_mc_query_oracle(spark):
         WHERE t.node <> {source}
         GROUP BY t.node
         """,
-        traces=idx.trace_df.toPandas(),
+        traces=idx.trace_pdf,
     )

@@ -1,4 +1,4 @@
-"""PRSim-lite baseline: index build, eq.-7 query, engines, budgets, oracle."""
+"""PRSim-lite baseline: index build, eq.-7 query, budgets, oracle."""
 import numpy as np
 import pytest
 
@@ -56,18 +56,6 @@ def test_query_end_to_end_error_within_eps_scale():
     idx = prsim.preprocess(g, eps=1e-1, c=C, seed=3, max_pairs=5_000_000)
     res = prsim.query_local(g, idx, 4, c=C)
     assert np.abs(res.scores - truth[:, 4]).max() <= 1e-1
-
-
-def test_query_spark_matches_local(spark):
-    g = gen.load("GQ-lite", spark)
-    idx_l = prsim.preprocess(g, eps=1e-1, c=C, seed=4, max_pairs=500_000)
-    idx_s = prsim.preprocess(
-        g, eps=1e-1, c=C, seed=4, max_pairs=500_000, engine="spark"
-    )
-    assert idx_s.entries == idx_l.entries
-    a = prsim.query_local(g, idx_l, 9, c=C)
-    b = prsim.query_spark(g, idx_s, 9, c=C)
-    np.testing.assert_allclose(a.scores, b.scores, atol=1e-10)
 
 
 def test_query_join_oracle(spark):

@@ -104,6 +104,28 @@ def test_invalid_args():
         exactsim(g, 10**6, eps=1e-2)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        pytest.param({"eps": 0.0}, "eps", id="eps=0"),
+        pytest.param({"eps": 1.0}, "eps", id="eps=1"),
+        pytest.param({"eps": -1e-2}, "eps", id="eps<0"),
+        pytest.param({"eps": 1e-2, "c": 0.0}, "c must", id="c=0"),
+        pytest.param({"eps": 1e-2, "c": 1.0}, "c must", id="c=1"),
+        pytest.param({"eps": 1e-1, "walk_engine": "sparkk"}, "engine", id="engine-opt"),
+        pytest.param(
+            {"eps": 1e-1, "variant": "basic", "walk_engine": "sparkk"},
+            "engine",
+            id="engine-basic",
+        ),
+    ],
+)
+def test_rejects_out_of_range_inputs(kwargs, match):
+    g = gen.load("GQ-lite")
+    with pytest.raises(ValueError, match=match):
+        exactsim(g, 0, **kwargs)
+
+
 def test_walk_engine_spark_matches_local(spark):
     g = gen.load("GQ-lite", spark)
     a = exactsim(g, 2, eps=1e-2, variant="opt", seed=8, max_pairs=100_000,

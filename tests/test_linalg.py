@@ -1,4 +1,4 @@
-"""Mat-vec engines: numpy kernels vs dense reference vs Spark vs DuckDB."""
+"""Mat-vec kernels: numpy vs dense reference vs DuckDB."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -119,35 +119,21 @@ def test_expand_sparse_dead_end():
 
 
 # ---------------------------------------------------------------------------
-# Spark DataFrame engine + oracle
+# DuckDB oracle
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["GQ-lite", "WV-lite"])
-def test_matvec_P_df_matches_numpy(spark, name):
-    g = gen.load(name, spark)
-    v = _rand_vec(g.n, 7)
-    got = mv.df_to_vec(g.n, mv.matvec_P_df(g.transition_df(), mv.vec_to_df(g, v)))
-    np.testing.assert_allclose(got, mv.matvec_P(g.csr, v), atol=1e-9)
-
-
-@pytest.mark.parametrize("name", ["GQ-lite", "WV-lite"])
-def test_matvec_PT_df_matches_numpy(spark, name):
-    g = gen.load(name, spark)
-    v = _rand_vec(g.n, 8)
-    got = mv.df_to_vec(g.n, mv.matvec_PT_df(g.transition_df(), mv.vec_to_df(g, v)))
-    np.testing.assert_allclose(got, mv.matvec_PT(g.csr, v), atol=1e-9)
-
-
 def test_matvec_df_oracle(spark):
-    """The message-passing join IS a SQL query — let DuckDB replay it."""
+    """``P · v`` is a SQL join over the transition table — DuckDB replays it
+    against the numpy kernel."""
     g = gen.load("GQ-lite", spark)
     v = _rand_vec(g.n, 9)
     vec_pdf = pd.DataFrame({"id": np.arange(g.n), "val": v})
     trans_pdf = g.transition_df().toPandas()
-    out_df = mv.matvec_P_df(g.transition_df(), mv.vec_to_df(g, v))
+    ids = np.unique(g.csr.src)
+    out = pd.DataFrame({"id": ids, "val": mv.matvec_P(g.csr, v)[ids]})
     assert_equivalent(
-        out_df,
+        spark.createDataFrame(out),
         """
         SELECT t.src AS id, SUM(t.w * v.val) AS val
         FROM transition t JOIN vec v ON t.dst = v.id
@@ -156,19 +142,3 @@ def test_matvec_df_oracle(spark):
         transition=trans_pdf,
         vec=vec_pdf,
     )
-
-
-def test_axpy_df(spark):
-    g = gen.load("GQ-lite", spark)
-    x, y = _rand_vec(g.n, 10), _rand_vec(g.n, 11)
-    got = mv.df_to_vec(
-        g.n, mv.axpy_df(0.5, mv.vec_to_df(g, x), mv.vec_to_df(g, y))
-    )
-    np.testing.assert_allclose(got, 0.5 * x + y, atol=1e-12)
-
-
-def test_vec_df_roundtrip(spark):
-    g = gen.load("GQ-lite", spark)
-    v = np.zeros(g.n)
-    v[[3, 77, 400]] = [0.25, -1.5, 3.0]
-    np.testing.assert_array_equal(mv.df_to_vec(g.n, mv.vec_to_df(g, v)), v)

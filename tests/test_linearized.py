@@ -1,4 +1,4 @@
-"""Linearized engine: forward/backward phases, Lemma-2 sparsification, DF parity."""
+"""Linearized engine: forward/backward phases, Lemma-2 sparsification."""
 import math
 
 import numpy as np
@@ -115,37 +115,3 @@ def test_forward_sparse_levels_match_dense_forward():
         dense = np.zeros(g.n)
         dense[idx] = val
         np.testing.assert_allclose(dense, fwd.pis[ell], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Spark DataFrame engine parity
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("g", [gen.tiny_cycle(5), gen.tiny_star(4)], ids=lambda g: g.name)
-def test_forward_df_matches_numpy(spark, g):
-    g.spark = spark
-    fwd = linearized.forward(g.csr, 0, c=C, L=4)
-    pis_df = linearized.forward_df(g, 0, c=C, L=4)
-    for a, b in zip(fwd.pis, pis_df):
-        np.testing.assert_allclose(a, b, atol=1e-10)
-
-
-def test_backward_df_matches_numpy(spark):
-    g = gen.load("GQ-lite", spark)
-    d = exact_d("GQ-lite")
-    fwd = linearized.forward(g.csr, 0, c=C, L=5)
-    s_np = linearized.backward(g.csr, fwd, d, c=C)
-    s_df = linearized.backward_df(g, fwd.pis, d, c=C)
-    np.testing.assert_allclose(s_df, s_np, atol=1e-9)
-
-
-def test_full_query_df_engine_matches_power(spark):
-    """End-to-end single-source on the DataFrame engine with exact D."""
-    g = gen.load("GQ-lite", spark)
-    S = power_truth("GQ-lite")
-    d = exact_d("GQ-lite")
-    L = linearized.iterations_for(1e-5, C)
-    pis = linearized.forward_df(g, 0, c=C, L=L)
-    s = linearized.backward_df(g, pis, d, c=C)
-    assert np.abs(s - S[:, 0]).max() < 1e-4

@@ -1,8 +1,9 @@
 """DuckDB-oracle checks for the SQL-expressible graph dataflows.
 
-Each test states a Spark dataflow used somewhere in the reproduction and has
-DuckDB replay it independently — catching a wrong join key or aggregation,
-not just "it ran" (DESIGN.md §3, correctness strategy).
+Each test states a dataflow used somewhere in the reproduction — a Spark
+query or a numpy kernel — and has DuckDB replay it independently, catching a
+wrong join key or aggregation, not just "it ran" (DESIGN.md §3, correctness
+strategy).  The last tests check the oracle itself.
 """
 import numpy as np
 import pandas as pd
@@ -65,10 +66,13 @@ def test_two_hop_transition_mass(spark, gq):
 
 
 def test_matvec_PT_as_sql(spark, gq):
+    """``Pᵀ · v`` (the backward phase's step) from the numpy kernel equals the
+    message-passing join DuckDB runs over the transition table."""
     v = np.random.default_rng(3).random(gq.n)
-    out = mv.matvec_PT_df(gq.transition_df(), mv.vec_to_df(gq, v))
+    ids = np.unique(gq.csr.dst)
+    out = pd.DataFrame({"id": ids, "val": mv.matvec_PT(gq.csr, v)[ids]})
     assert_equivalent(
-        out,
+        spark.createDataFrame(out),
         """
         SELECT t.dst AS id, SUM(t.w * v.val) AS val
         FROM t JOIN v ON t.src = v.id
@@ -96,21 +100,6 @@ def test_top_k_selection(spark, gq):
         """,
         scores=pdf,
     )
-
-
-def test_ppr_mass_conservation_sql(spark):
-    """On a dead-end-free graph the pushed mass per hop is exactly √c of the
-    previous hop's — checked through the SQL mat-vec."""
-    g = gen.tiny_cycle(9)
-    g.spark = spark
-    v = np.zeros(9)
-    v[0] = 1.0
-    cur = mv.vec_to_df(g, v)
-    t = g.transition_df()
-    for _ in range(3):
-        cur = mv.matvec_P_df(t, cur)
-    total = cur.agg(F.sum("val").alias("s")).toPandas()["s"].iloc[0]
-    assert total == pytest.approx(1.0)
 
 
 def test_meeting_join_counts_distinct_pairs(spark):
@@ -149,3 +138,55 @@ def test_meeting_join_counts_distinct_pairs(spark):
         """,
         traces=traces,
     )
+
+
+# ---------------------------------------------------------------------------
+# The oracle itself: it must compare values, joins and aggregates, and reject
+# a wrong result.
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_catches_aggregation(spark, gq):
+    q = gq.edges_df().groupBy("src").agg(
+        F.sum("dst").alias("sum_dst"),
+        F.count("*").alias("cnt"),
+    )
+    assert_equivalent(
+        q,
+        """
+        SELECT src, SUM(dst) AS sum_dst, COUNT(*) AS cnt
+        FROM edges GROUP BY src
+        """,
+        edges=gq.edges_pdf(),
+    )
+
+
+def test_oracle_join_path(spark, gq):
+    nodes = pd.DataFrame({"id": np.arange(gq.n), "bucket": np.arange(gq.n) % 7})
+    e = gq.edges_df()
+    nd = spark.createDataFrame(nodes)
+    q = (
+        e.join(nd, e["dst"] == nd["id"])
+        .groupBy("bucket")
+        .agg(F.sum("src").alias("sum_src"))
+    )
+    assert_equivalent(
+        q,
+        """
+        SELECT bucket, SUM(src) AS sum_src
+        FROM edges JOIN nodes ON dst = id
+        GROUP BY bucket
+        """,
+        edges=gq.edges_pdf(),
+        nodes=nodes,
+    )
+
+
+def test_oracle_detects_mismatch(spark, gq):
+    wrong = gq.edges_df().groupBy("src").agg((F.count("*") + 1).alias("dout"))
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong,
+            "SELECT src, COUNT(*) AS dout FROM edges GROUP BY src",
+            edges=gq.edges_pdf(),
+        )

@@ -1,4 +1,4 @@
-"""Power Method ground truth: axioms, direct-solve agreement, DF engine."""
+"""Power Method ground truth: axioms, direct-solve agreement."""
 import numpy as np
 import pytest
 
@@ -73,12 +73,3 @@ def test_power_truncation_error_bound(tol):
     S_ref = pm.simrank_power(g, c=0.6, tol=1e-14)
     S = pm.simrank_power(g, c=0.6, tol=tol)
     assert np.abs(S - S_ref).max() <= tol
-
-
-@pytest.mark.parametrize("g", [gen.tiny_cycle(5), gen.tiny_star(4)], ids=lambda g: g.name)
-def test_power_df_engine_matches_dense(spark, g):
-    g.spark = spark
-    S_np = pm.simrank_power(g, c=0.6, tol=1e-14)
-    S_df = pm.pairs_df_to_dense(g.n, pm.simrank_power_df(g, c=0.6, iters=25))
-    # Both truncated at similar depth; 0.6^25 ≈ 3e-6.
-    np.testing.assert_allclose(S_df, S_np, atol=1e-5)

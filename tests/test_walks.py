@@ -103,8 +103,9 @@ def test_simulate_pairs_local_aggregates():
     nodes = np.array([3, 3, 9], dtype=np.int64)
     pairs = np.array([100, 50, 70], dtype=np.int64)
     nonstop = np.zeros(3, dtype=np.int64)
-    res = pair_walks.simulate_pairs_local(
-        g, pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=1), c=C
+    res = pair_walks.simulate_pairs(
+        g, pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=1), c=C,
+        engine="local",
     )
     assert res[res["node"] == 3]["pairs"].item() == 150
     assert res[res["node"] == 9]["pairs"].item() == 70
@@ -117,8 +118,8 @@ def test_simulate_pairs_spark_matches_local(spark):
     pairs = np.full(10, 2000, dtype=np.int64)
     nonstop = np.array([0, 0, 0, 0, 0, 1, 1, 2, 2, 3], dtype=np.int64)
     asg = pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=11)
-    a = pair_walks.simulate_pairs_local(g, asg, c=C)
-    b = pair_walks.simulate_pairs_spark(g, asg, c=C)
+    a = pair_walks.simulate_pairs(g, asg, c=C, engine="local")
+    b = pair_walks.simulate_pairs(g, asg, c=C, engine="spark")
     a = a.sort_values(["node", "nonstop"]).reset_index(drop=True)
     b = b.sort_values(["node", "nonstop"]).reset_index(drop=True).astype(a.dtypes)
     assert a.equals(b)
@@ -156,13 +157,3 @@ def test_trace_rows_local_deterministic():
     assert a.equals(b)
     assert set(a.columns) == {"node", "r", "step", "pos"}
     assert a["r"].max() <= 2
-
-
-def test_trace_index_spark_matches_local(spark):
-    g = gen.load("GQ-lite", spark)
-    local = traces.trace_rows_local(g, r_per_node=2, c=C, seed=7)
-    dist = traces.build_trace_index(g, r_per_node=2, c=C, seed=7).toPandas()
-    key = ["node", "r", "step", "pos"]
-    a = local.sort_values(key).reset_index(drop=True)
-    b = dist.sort_values(key).reset_index(drop=True)
-    assert a.equals(b)
