@@ -57,7 +57,7 @@ def test_bench_parsim(benchmark, gq, truth):
 def test_bench_mc_query(benchmark, gq, truth):
     idx = mc.preprocess(gq, r_per_node=200, c=C, seed=2)
     r = benchmark.pedantic(
-        lambda: mc.query_local(gq, idx, SRC), rounds=3, iterations=1
+        lambda: mc.query(gq, idx, SRC), rounds=3, iterations=1
     )
     assert np.abs(r.scores - truth).max() < 0.3
 
@@ -73,7 +73,7 @@ def test_bench_linearization_query(benchmark, gq, truth):
 def test_bench_prsim_query(benchmark, gq, truth):
     idx = prsim.preprocess(gq, eps=1e-1, c=C, seed=4, max_pairs=1_000_000)
     r = benchmark.pedantic(
-        lambda: prsim.query_local(gq, idx, SRC, c=C), rounds=3, iterations=1
+        lambda: prsim.query(gq, idx, SRC, c=C), rounds=3, iterations=1
     )
     assert np.abs(r.scores - truth).max() <= 1e-1
 

@@ -88,9 +88,9 @@ def query(
 ) -> LinearizationResult:
     """Single-source query with the precomputed ``D̂`` (linearized engine)."""
     t0 = time.perf_counter()
-    scores, _ = linearized.single_source(
-        graph.csr, source, index.d_hat, c=c, eps=index.eps
-    )
+    L = linearized.iterations_for(index.eps, c)
+    fwd = linearized.forward(graph.csr, source, c=c, L=L)
+    scores = linearized.backward(graph.csr, fwd, index.d_hat, c=c)
     return LinearizationResult(
         scores=scores, seconds_query=time.perf_counter() - t0
     )

@@ -6,7 +6,7 @@ the fraction of walk indices ``r`` whose walk from ``v_i`` shares a
 ``(step, pos)`` with walk ``r`` from ``v_j`` — eq. (2)'s meeting probability.
 
 The query is one equi-join + distinct + group-count, run as a pandas merge
-(``query_local``); the DuckDB oracle replays the same SQL in tests.
+(``query``); the DuckDB oracle replays the same SQL in tests.
 Accuracy scales as ``√(log n / R)`` — the ``O(n log n/ε²)`` preprocessing
 wall the paper highlights.
 """
@@ -43,7 +43,7 @@ def preprocess(
 ) -> MCIndex:
     """Simulate and store R √c-walks per node."""
     t0 = time.perf_counter()
-    pdf = traces.trace_rows_local(graph, r_per_node=r_per_node, c=c, seed=seed)
+    pdf = traces.trace_rows(graph, r_per_node=r_per_node, c=c, seed=seed)
     return MCIndex(r_per_node, pdf, time.perf_counter() - t0, len(pdf))
 
 
@@ -63,7 +63,7 @@ def _scores_from_counts(
     return s
 
 
-def query_local(graph: Graph, index: MCIndex, source: int) -> MCResult:
+def query(graph: Graph, index: MCIndex, source: int) -> MCResult:
     """Meeting counts of the source's walks against every other node's."""
     t0 = time.perf_counter()
     t = index.trace_pdf

@@ -115,11 +115,9 @@ def preprocess(
     entries = 0
     push_edges = 0
     for s in range(graph.n):
-        levels, e, edges = linearized.forward_sparse_levels(
-            graph.csr, s, c=c, L=L, threshold=thr
-        )
-        entries += e
-        push_edges += edges
+        fwd = linearized.forward(graph.csr, s, c=c, L=L, threshold=thr)
+        entries += fwd.stored_entries
+        push_edges += fwd.edges
         if max_entries is not None and entries > max_entries:
             raise BudgetExceeded(
                 f"PRSim index exceeds {max_entries:.2e} entries at eps={eps}"
@@ -128,7 +126,7 @@ def preprocess(
             raise BudgetExceeded(
                 f"PRSim push work exceeds {max_push_edges:.2e} edges at eps={eps}"
             )
-        frames.append(_levels_to_rows(s, levels))
+        frames.append(_levels_to_rows(s, fwd.levels))
     pdf = pd.concat(frames, ignore_index=True)
     pdf = pdf.astype({"ell": "int64", "k": "int64", "j": "int64", "val": "float64"})
     return PRSimIndex(eps, L, d_hat, entries, total, time.perf_counter() - t0, pdf)
@@ -141,15 +139,15 @@ class PRSimResult:
 
 
 def _source_rows(graph: Graph, source: int, index: PRSimIndex, c: float) -> pd.DataFrame:
-    levels, _e, _c2 = linearized.forward_sparse_levels(
+    fwd = linearized.forward(
         graph.csr, source, c=c, L=index.L,
         threshold=linearized.sparse_threshold(index.eps, c),
     )
-    rows = _levels_to_rows(source, levels).rename(columns={"val": "val_i"})
+    rows = _levels_to_rows(source, fwd.levels).rename(columns={"val": "val_i"})
     return rows.drop(columns=["j"]).astype({"ell": "int64", "k": "int64"})
 
 
-def query_local(
+def query(
     graph: Graph, index: PRSimIndex, source: int, *, c: float = 0.6
 ) -> PRSimResult:
     """Eq.-7 join on pandas: source levels ⋈ index on (ℓ, k), weight by D̂."""

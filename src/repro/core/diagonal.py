@@ -86,16 +86,15 @@ def estimate_D_mc(
     c: float,
     seed: int,
     engine: str = "local",
-    default: Optional[float] = None,
 ) -> np.ndarray:
     """Algorithm 2: ``D̂(k,k)`` = fraction of √c-walk pairs that never meet.
 
-    Nodes outside ``nodes`` get ``default`` (``1-c`` unless specified) — they
-    carry zero weight in the backward phase because their π_i entries vanish.
+    Nodes outside ``nodes`` get ``1-c`` — they carry zero weight in the
+    backward phase because their π_i entries vanish.
     ``engine`` (``'local'`` or ``'spark'``) picks where the walks run; both
     consume identical seeds and thus return identical counts.
     """
-    d_hat = np.full(graph.n, (1.0 - c) if default is None else default)
+    d_hat = np.full(graph.n, 1.0 - c)
     if nodes.size == 0:
         return d_hat
     assignments = pair_walks.make_assignments(

@@ -9,18 +9,23 @@ computed as a *forward* phase (the ℓ-hop PPR vectors, Algorithm 1 lines 2-5)
 and a *backward* phase (lines 9-13).  Setting ``L = ⌈log_{1/c}(2/ε)⌉`` bounds
 the truncation error by ``c^L <= ε/2``.
 
-The forward vectors are what costs memory (``O(n log 1/ε)`` dense); the
-*sparse* mode drops entries ``<= (1-√c)²ε`` after each hop (Lemma 2), bounding
-storage by ``O(1/ε)`` at an extra ``ε`` additive error.  ``ForwardResult``
-carries exact stored-entry accounting for the Table-3 reproduction.
+Each forward hop is one ``linalg.matvec.expand_sparse`` local push from the
+previous hop's support, stored as an ``(idx, val)`` pair.  Without a
+threshold (basic ExactSim, ParSim, Linearization) the vectors fill up, which
+is the ``O(n log 1/ε)`` memory of the basic variant; the optimized variant
+drops entries ``<= (1-√c)²ε`` after each hop (Lemma 2), bounding storage and
+per-hop work by ``O(1/ε)`` at an extra ``ε`` additive error.  PRSim-lite
+builds its index from the same pass.  ``ForwardResult`` carries exact
+stored-entry accounting for the Table-3 reproduction.
 
-Both phases are driver-side numpy mat-vecs from ``linalg.matvec``.
+The backward phase is a dense driver-side ``Pᵀ`` mat-vec per hop into which
+each stored level is scattered.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,20 +45,21 @@ def sparse_threshold(eps: float, c: float) -> float:
 
 @dataclass
 class ForwardResult:
-    """ℓ-hop PPR vectors of the source plus space accounting."""
+    """ℓ-hop PPR vectors of the source plus space and work accounting."""
 
-    pis: List[np.ndarray]  # π_i^ℓ for ℓ = 0..L (dense arrays, possibly truncated)
-    pi: np.ndarray  # Σ_ℓ π_i^ℓ — the PPR vector of the source
+    levels: List[Tuple[np.ndarray, np.ndarray]]  # π_i^ℓ as (idx, val), ℓ = 0..L
+    pi: np.ndarray  # Σ_ℓ π_i^ℓ — the (dense) PPR vector of the source
     stored_entries: int  # Σ_ℓ nnz(π_i^ℓ) after truncation
     threshold: float  # the truncation threshold applied (0.0 = dense mode)
+    edges: int  # edges pushed over all hops
 
     @property
     def L(self) -> int:
-        return len(self.pis) - 1
+        return len(self.levels) - 1
 
     def dense_bytes(self) -> int:
         """Basic-ExactSim footprint: (L+1) dense double vectors."""
-        return (self.L + 1) * self.pis[0].shape[0] * 8
+        return (self.L + 1) * self.pi.shape[0] * 8
 
     def sparse_bytes(self) -> int:
         """Optimized footprint: stored (index, value) pairs only."""
@@ -68,26 +74,31 @@ def forward(
     L: int,
     threshold: float = 0.0,
 ) -> ForwardResult:
-    """Compute ``π_i^ℓ`` for ℓ = 0..L.
+    """Compute ``π_i^ℓ`` for ℓ = 0..L, one local push per hop.
 
     ``threshold > 0`` applies the Lemma-2 sparsification after every hop:
-    entries ``<= threshold`` are zeroed *before* being stored or propagated,
+    entries ``<= threshold`` are dropped *before* being stored or propagated,
     which is what bounds both the space and the downstream work.
     """
     sqrt_c = math.sqrt(c)
-    pi0 = np.zeros(csr.n)
-    pi0[source] = 1.0 - sqrt_c
-    pis = [pi0]
-    stored = 1
-    cur = pi0
+    idx = np.array([source], dtype=np.int64)
+    val = np.array([1.0 - sqrt_c])
+    levels = [(idx, val)]
+    pi = np.zeros(csr.n)
+    pi[idx] = val
+    edges = 0
     for _ in range(L):
-        cur = sqrt_c * mv.matvec_P(csr, cur)
-        if threshold > 0.0:
-            cur = np.where(cur > threshold, cur, 0.0)
-        pis.append(cur)
-        stored += int(np.count_nonzero(cur))
-    pi = np.sum(pis, axis=0)
-    return ForwardResult(pis=pis, pi=pi, stored_entries=stored, threshold=threshold)
+        idx, val, cost = mv.expand_sparse(csr, idx, val)
+        val = sqrt_c * val
+        keep = val > threshold
+        idx, val = idx[keep], val[keep]
+        levels.append((idx, val))
+        pi[idx] += val
+        edges += cost
+    stored = sum(int(idx.size) for idx, _ in levels)
+    return ForwardResult(
+        levels=levels, pi=pi, stored_entries=stored, threshold=threshold, edges=edges
+    )
 
 
 def backward(
@@ -97,61 +108,13 @@ def backward(
     *,
     c: float,
 ) -> np.ndarray:
-    """Accumulate ``s^L`` from the stored ℓ-hop PPR vectors."""
+    """Accumulate ``s^L`` from the stored ℓ-hop PPR vectors, deepest first."""
     sqrt_c = math.sqrt(c)
     scale = 1.0 / (1.0 - sqrt_c)
-    s = scale * d_hat * fwd.pis[fwd.L]
-    for ell in range(1, fwd.L + 1):
-        s = sqrt_c * mv.matvec_PT(csr, s) + scale * d_hat * fwd.pis[fwd.L - ell]
+    s = np.zeros(csr.n)
+    for ell in range(fwd.L, -1, -1):
+        idx, val = fwd.levels[ell]
+        s[idx] += scale * d_hat[idx] * val
+        if ell:
+            s = sqrt_c * mv.matvec_PT(csr, s)
     return s
-
-
-def single_source(
-    csr: CSRGraph,
-    source: int,
-    d_hat: np.ndarray,
-    *,
-    c: float,
-    eps: float,
-    sparse: bool = False,
-    L: Optional[int] = None,
-) -> tuple[np.ndarray, ForwardResult]:
-    """Full linearized query with a given ``D̂``."""
-    L = iterations_for(eps, c) if L is None else L
-    thr = sparse_threshold(eps, c) if sparse else 0.0
-    fwd = forward(csr, source, c=c, L=L, threshold=thr)
-    return backward(csr, fwd, d_hat, c=c), fwd
-
-
-def forward_sparse_levels(
-    csr: CSRGraph,
-    source: int,
-    *,
-    c: float,
-    L: int,
-    threshold: float,
-) -> tuple[List[tuple[np.ndarray, np.ndarray]], int, int]:
-    """ℓ-hop PPR levels as sparse (idx, val) pairs via local push.
-
-    The truly-sparse twin of :func:`forward` — per-hop cost proportional to
-    the surviving support, not to ``n`` — used by the PRSim-lite index build
-    where a dense vector per source would be ``O(n²L)``.  Returns
-    ``(levels, total_entries, edges_traversed)``.
-    """
-    sqrt_c = math.sqrt(c)
-    idx = np.array([source], dtype=np.int64)
-    val = np.array([1.0 - sqrt_c])
-    levels = [(idx, val)]
-    entries = 1
-    edges = 0
-    for _ in range(L):
-        idx, val, cost = mv.expand_sparse(csr, idx, val, prune=0.0)
-        val = sqrt_c * val
-        keep = val > threshold
-        idx, val = idx[keep], val[keep]
-        edges += cost
-        levels.append((idx, val))
-        entries += int(idx.size)
-        if idx.size == 0:
-            break
-    return levels, entries, edges

@@ -5,8 +5,9 @@ compute the head ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` *exactly* via the Lemma-4 recursi
 
     Z_ℓ(k,q) = c^ℓ M^ℓ(k,q)² − Σ_{t=1}^{ℓ-1} Σ_{q'} c^{ℓ-t} M^{ℓ-t}(q',q)² Z_t(k,q')
 
-(``M = Pᵀ`` is the walk transition matrix; ``M^t(q',·)`` rows are grown by
-sparse breadth-first expansion), and estimate only the tail
+(``M = Pᵀ`` is the walk transition matrix; all live ``M^t(q',·)`` rows of a
+level advance together in one ``linalg.matvec.expand_sparse`` push, packed
+under ``row·n + node`` keys), and estimate only the tail
 ``Σ_{ℓ>ℓ(k)} Z_ℓ(k) = c^{ℓ(k)}·Pr[survive ℓ(k) un-met ∧ √c-continuations
 meet]`` with the non-stop pair walks from ``walks.pair_walks``.
 
@@ -44,58 +45,33 @@ PRUNE = 1e-15
 MAX_LEVEL = 40
 
 SparseVec = Tuple[np.ndarray, np.ndarray]  # (indices int64, values float64)
-
-
-def _expand(csr: CSRGraph, row: SparseVec) -> Tuple[SparseVec, int]:
-    """One step of ``M``: distribute each entry to its node's in-neighbors.
-
-    Returns the new row and the number of edges traversed (the ``E_k``
-    increment).  Entries at dead-end nodes vanish (the walk must stop there).
-    Delegates to the shared local-push primitive (``M^t`` rows are exactly
-    sparse ``P``-matvecs because ``P = Mᵀ``).
-    """
-    idx, val, total = mv.expand_sparse(csr, row[0], row[1], prune=PRUNE)
-    return (idx, val), total
-
-
 RowKey = Tuple[int, int]  # (origin node q, level t) identifying an M^t(q,·) row
 
 
 def _expand_batch(
     csr: CSRGraph, rows: Dict[RowKey, SparseVec]
 ) -> Tuple[Dict[RowKey, SparseVec], int]:
-    """Advance every row one level in a single vectorized push.
+    """Advance every row one level in a single ``expand_sparse`` push.
 
-    All rows' entries are concatenated, pushed along the reversed edges at
-    once, and re-aggregated per row via a composite ``(row, node)`` key —
-    identical arithmetic to per-row :func:`_expand`, but one numpy pass per
-    level instead of one per row, which is what makes deep heads affordable.
+    Row ``r``'s entries are packed under the keys ``r·n + node``, pushed
+    along the reversed edges at once and split back per row — one numpy
+    pass per level instead of one per row, which is what makes deep heads
+    affordable.  Returns the advanced rows (keyed one level up) and the
+    edges traversed (the ``E_k`` increment); entries at dead-end nodes
+    vanish, since the walk must stop there.
     """
     keys = list(rows)
-    sizes = np.array([rows[key][0].size for key in keys], dtype=np.int64)
-    rid = np.repeat(np.arange(len(keys)), sizes)
-    idx = np.concatenate([rows[key][0] for key in keys]) if keys else np.zeros(0, np.int64)
-    val = np.concatenate([rows[key][1] for key in keys]) if keys else np.zeros(0)
-    keep = csr.din[idx] > 0
-    rid, idx, val = rid[keep], idx[keep], val[keep]
     out: Dict[RowKey, SparseVec] = {
         (q, lvl + 1): (np.zeros(0, np.int64), np.zeros(0)) for (q, lvl) in keys
     }
-    if idx.size == 0:
+    if not keys:
         return out, 0
-    counts = csr.din[idx]
-    total = int(counts.sum())
-    rep = np.repeat(np.arange(idx.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbr = csr.in_neighbors[csr.in_indptr[idx][rep] + offsets]
-    w = (val / counts)[rep]
-    key = rid[rep] * csr.n + nbr
-    uk, inv = np.unique(key, return_inverse=True)
-    acc = np.bincount(inv, weights=w, minlength=uk.size)
-    keep2 = acc > PRUNE
-    uk, acc = uk[keep2], acc[keep2]
-    out_rid = uk // csr.n
-    out_nbr = uk % csr.n
+    sizes = [rows[key][0].size for key in keys]
+    rid = np.repeat(np.arange(len(keys), dtype=np.int64), sizes)
+    packed = rid * csr.n + np.concatenate([rows[key][0] for key in keys])
+    val = np.concatenate([rows[key][1] for key in keys])
+    uk, acc, total = mv.expand_sparse(csr, packed, val, prune=PRUNE)
+    out_rid, out_nbr = np.divmod(uk, csr.n)
     bounds = np.searchsorted(out_rid, np.arange(len(keys) + 1))
     for i, (q, lvl) in enumerate(keys):
         s, e = bounds[i], bounds[i + 1]
@@ -227,7 +203,6 @@ def estimate_D_local_push(
     seed: int,
     skip_tol: float = 0.0,
     engine: str = "local",
-    default: float | None = None,
 ) -> Tuple[np.ndarray, pd.DataFrame]:
     """Estimate ``D̂`` for the given nodes with Algorithm 3.
 
@@ -265,6 +240,6 @@ def estimate_D_local_push(
         .sort_values("node")
         .reset_index(drop=True)
     )
-    d = np.full(graph.n, (1.0 - c) if default is None else default)
+    d = np.full(graph.n, 1.0 - c)
     d[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
     return d, stats

@@ -213,7 +213,7 @@ def sweep_mc(
         idx = mc.preprocess(graph, r_per_node=r_per_node, c=C, seed=cfg.seed)
         errs, precs, times = [], [], []
         for s in sources:
-            res = mc.query_local(graph, idx, int(s))
+            res = mc.query(graph, idx, int(s))
             e, p = _evaluate(res.scores, truth[int(s)], int(s), cfg.k)
             errs.append(e)
             precs.append(p)
@@ -297,7 +297,7 @@ def sweep_prsim(
             continue
         errs, precs, times = [], [], []
         for s in sources:
-            res = prsim.query_local(graph, idx, int(s), c=C)
+            res = prsim.query(graph, idx, int(s), c=C)
             e, p = _evaluate(res.scores, truth[int(s)], int(s), cfg.k)
             errs.append(e)
             precs.append(p)

@@ -1,6 +1,6 @@
 """Row producers for each table the reproduction regenerates.
 
-Each function returns plain dict rows and a pretty-printer so the jobs in
+Each function returns plain dict rows so the jobs in
 ``jobs/`` can print exactly the rows recorded in EXPERIMENTS.md next to the
 paper's numbers.
 """
@@ -147,14 +147,3 @@ def ablation_rows(
             )
     return rows
 
-
-def print_rows(rows: List[Dict]) -> None:
-    """Aligned key=value printer shared by the jobs."""
-    for r in rows:
-        parts = []
-        for k, v in r.items():
-            if isinstance(v, float):
-                parts.append(f"{k}={v:.4g}")
-            else:
-                parts.append(f"{k}={v}")
-        print("  ".join(parts))

@@ -50,10 +50,6 @@ class CSRGraph:
         """In-neighbor ids of node ``v`` (possibly empty)."""
         return self.in_neighbors[self.in_indptr[v] : self.in_indptr[v + 1]]
 
-    def edge_bytes(self) -> int:
-        """In-memory edge-list footprint (two int64 columns)."""
-        return 2 * 8 * self.m
-
     def csr_bytes(self) -> int:
         """Graph size as int32 CSR adjacency, both directions — the storage
         convention the paper's Table 3 'Graph size' row corresponds to

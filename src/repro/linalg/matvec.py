@@ -1,8 +1,10 @@
 """Sparse matrix–vector products for the (reverse) transition matrix ``P``.
 
 Dense mat-vecs are one ``np.bincount`` over the edge list (the vectors live
-in driver memory, DESIGN.md §3); :func:`expand_sparse` is the local-push
-form whose cost scales with the vector's support.
+in driver memory, DESIGN.md §3).  :func:`expand_sparse` is the one
+local-push kernel: its cost scales with the pushed support, and it advances
+many sparse vectors at once through ``row·n + node`` keys.  The forward
+pass, the PRSim-lite index and Algorithm 3's ``M^t`` rows all use it.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -37,29 +39,40 @@ def matvec_PT(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
 
 
 def expand_sparse(
-    csr: CSRGraph, idx: np.ndarray, val: np.ndarray, *, prune: float = 0.0
+    csr: CSRGraph, keys: np.ndarray, val: np.ndarray, *, prune: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sparse ``P · v`` by local push: distribute each entry to in-neighbors.
+    """Sparse ``P · v`` by local push, for one or many vectors at once.
 
-    ``P·v`` gathers ``v(j)/d_in(j)`` into every ``i ∈ I(j)`` — structurally,
-    each nonzero entry is *pushed* along the reversed edges, which is the
-    local-push primitive of PRSim and of Algorithm 3's BFS (where the same
-    operation realizes ``M^t`` rows, since ``P = Mᵀ`` for the walk transition
-    ``M``).  Entries landing at a value ``<= prune`` are dropped.  Returns
-    ``(indices, values, edges_traversed)`` — the traversal count feeds the
-    adaptive budgets.
+    ``keys = row·n + node`` names entry ``node`` of vector ``row``; a caller
+    pushing a single vector passes plain node ids.  ``P·v`` gathers
+    ``v(j)/d_in(j)`` into every ``i ∈ I(j)`` — structurally, each entry is
+    *pushed* along the reversed edges, within its own row.  This is the
+    local-push primitive of PRSim, of the forward pass and of Algorithm 3's
+    BFS (where the same operation realizes ``M^t`` rows, since ``P = Mᵀ``
+    for the walk transition ``M``).  Entries landing at ``|value| <= prune``
+    are dropped.  Returns ``(keys, values, edges_traversed)`` with the keys
+    sorted; the traversal count feeds the adaptive budgets.
     """
-    keep = csr.din[idx] > 0
-    idx, val = idx[keep], val[keep]
-    if idx.size == 0:
-        return idx, val, 0
-    counts = csr.din[idx]
+    n = csr.n
+    node = keys % n
+    counts = csr.din[node]
+    keep = counts > 0  # mass at a dead end vanishes
+    keys, node, val, counts = keys[keep], node[keep], val[keep], counts[keep]
+    if keys.size == 0:
+        return keys, val, 0
     total = int(counts.sum())
-    rep = np.repeat(np.arange(idx.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbr = csr.in_neighbors[csr.in_indptr[idx][rep] + offsets]
-    w = (val / counts)[rep]
-    uniq, inv = np.unique(nbr, return_inverse=True)
+    # Entry e owns in_neighbors[in_indptr[node_e] :][: counts_e]; shifting a
+    # running edge counter by each entry's offset walks all those slices.
+    shift = np.repeat(csr.in_indptr[node] - (np.cumsum(counts) - counts), counts)
+    target = np.repeat(keys - node, counts) + csr.in_neighbors[shift + np.arange(total)]
+    w = np.repeat(val / counts, counts)
+    span = (int(keys.max()) // n + 1) * n
+    if total >= span:
+        # Dense accumulator: never larger than the pushed arrays.
+        acc = np.bincount(target, weights=w, minlength=span)
+        out = np.flatnonzero(np.abs(acc) > prune)
+        return out, acc[out], total
+    uniq, inv = np.unique(target, return_inverse=True)
     acc = np.bincount(inv, weights=w, minlength=uniq.size)
-    keep2 = np.abs(acc) > prune
-    return uniq[keep2], acc[keep2], total
+    keep = np.abs(acc) > prune
+    return uniq[keep], acc[keep], total

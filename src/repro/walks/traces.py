@@ -59,7 +59,7 @@ def walk_trace_arrays(
     )
 
 
-def trace_rows_local(
+def trace_rows(
     graph: Graph, *, r_per_node: int, c: float, seed: int
 ) -> pd.DataFrame:
     """Trace rows ``(node, r, step, pos)`` of R √c-walks from every node.

@@ -14,7 +14,7 @@ def test_mc_estimates_cycle_exactly_zero():
     # starts can never collide (positions differ by a constant offset).
     g = gen.tiny_cycle(6)
     idx = mc.preprocess(g, r_per_node=200, c=C, seed=1)
-    res = mc.query_local(g, idx, 0)
+    res = mc.query(g, idx, 0)
     truth = np.zeros(6)
     truth[0] = 1.0
     np.testing.assert_array_equal(res.scores, truth)
@@ -26,7 +26,7 @@ def test_mc_close_to_truth_on_star():
 
     S = simrank_power(g, c=C, tol=1e-12)
     idx = mc.preprocess(g, r_per_node=20_000, c=C, seed=2)
-    res = mc.query_local(g, idx, 1)
+    res = mc.query(g, idx, 1)
     # Binomial std at R=2e4 ≈ 0.0035; 5σ.
     np.testing.assert_allclose(res.scores, S[:, 1], atol=0.02)
 
@@ -37,7 +37,7 @@ def test_mc_error_shrinks_with_r():
     errs = []
     for r_per_node in (20, 500):
         idx = mc.preprocess(g, r_per_node=r_per_node, c=C, seed=3)
-        res = mc.query_local(g, idx, 0)
+        res = mc.query(g, idx, 0)
         errs.append(np.abs(res.scores - S[:, 0]).max())
     assert errs[1] < errs[0]
 

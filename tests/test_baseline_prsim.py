@@ -46,7 +46,7 @@ def test_query_close_to_truth_with_exact_D():
     truth = power_truth("GQ-lite")
     idx = prsim.preprocess(g, eps=1e-2, c=C, seed=2, max_pairs=2_000_000)
     idx.d_hat = exact_d("GQ-lite")
-    res = prsim.query_local(g, idx, 0, c=C)
+    res = prsim.query(g, idx, 0, c=C)
     assert np.abs(res.scores - truth[:, 0]).max() < 1e-2
 
 
@@ -54,7 +54,7 @@ def test_query_end_to_end_error_within_eps_scale():
     g = gen.load("GQ-lite")
     truth = power_truth("GQ-lite")
     idx = prsim.preprocess(g, eps=1e-1, c=C, seed=3, max_pairs=5_000_000)
-    res = prsim.query_local(g, idx, 4, c=C)
+    res = prsim.query(g, idx, 4, c=C)
     assert np.abs(res.scores - truth[:, 4]).max() <= 1e-1
 
 

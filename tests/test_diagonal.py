@@ -135,10 +135,8 @@ def test_estimate_D_mc_close_to_exact():
 
 def test_estimate_D_mc_default_fill():
     g = gen.tiny_star(4)
-    d_hat = diagonal.estimate_D_mc(
-        g, np.array([0]), np.array([100]), c=C, seed=1, default=0.5
-    )
-    assert np.all(d_hat[1:] == 0.5)
+    d_hat = diagonal.estimate_D_mc(g, np.array([0]), np.array([100]), c=C, seed=1)
+    assert np.all(d_hat[1:] == 1 - C)
 
 
 def test_estimate_D_mc_deterministic_in_seed():

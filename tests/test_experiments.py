@@ -126,8 +126,3 @@ def test_ablation_rows_shape():
     assert by_variant["opt"]["max_error"] < by_variant["basic"]["max_error"]
     assert by_variant["opt"]["pairs_simulated"] < by_variant["basic"]["pairs_simulated"]
 
-
-def test_print_rows_smoke(capsys):
-    tables.print_rows([{"a": 1, "b": 2.5}])
-    out = capsys.readouterr().out
-    assert "a=1" in out and "b=2.5" in out

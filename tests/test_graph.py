@@ -66,12 +66,6 @@ def test_csr_in_neighbors_match_edges(name):
         assert sorted(csr.in_neigh(int(v)).tolist()) == expected
 
 
-@pytest.mark.parametrize("name", SMALL)
-def test_edge_bytes_formula(name):
-    g = gen.load(name)
-    assert g.csr.edge_bytes() == 16 * g.m
-
-
 @pytest.mark.parametrize("name", ["GQ-lite", "HT-lite", "HP-lite"])
 def test_undirected_graphs_are_symmetric(name):
     g = gen.load(name)

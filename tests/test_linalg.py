@@ -95,6 +95,20 @@ def test_expand_sparse_equals_matvec(name):
     assert edges == int(g.csr.din[nz].sum())
 
 
+def test_expand_sparse_accumulators_agree():
+    """Pushed as row 0 the GQ-lite vector takes the bincount side (m >= n);
+    as row 10 the key span 11·n exceeds m and it takes the np.unique side."""
+    g = gen.load("GQ-lite")
+    assert g.n <= g.m < 11 * g.n
+    nodes = np.arange(g.n, dtype=np.int64)
+    val = np.random.default_rng(3).random(g.n)
+    k0, v0, e0 = mv.expand_sparse(g.csr, nodes, val)
+    k10, v10, e10 = mv.expand_sparse(g.csr, 10 * g.n + nodes, val)
+    np.testing.assert_array_equal(k10, 10 * g.n + k0)
+    np.testing.assert_array_equal(v10, v0)
+    assert e0 == e10 == g.m
+
+
 def test_expand_sparse_prunes():
     g = gen.tiny_star(3)
     # Mass at the center spreads 1/3 to each leaf; prune above that drops all.

@@ -12,6 +12,13 @@ C = 0.6
 SQC = math.sqrt(C)
 
 
+def _query(g, source, d, *, eps, threshold=0.0, L=None):
+    """Forward then backward, as every linearized caller runs them."""
+    L = linearized.iterations_for(eps, C) if L is None else L
+    fwd = linearized.forward(g.csr, source, c=C, L=L, threshold=threshold)
+    return linearized.backward(g.csr, fwd, d, c=C), fwd
+
+
 def test_iterations_for_bound():
     for eps in [1e-2, 1e-5, 1e-7]:
         L = linearized.iterations_for(eps, C)
@@ -33,10 +40,15 @@ def test_forward_hop_vectors_match_dense(name):
     e0 = np.zeros(g.n)
     e0[0] = 1.0
     expect = (1 - SQC) * e0
-    for ell in range(7):
-        np.testing.assert_allclose(fwd.pis[ell], expect, atol=1e-12)
+    total = np.zeros(g.n)
+    assert len(fwd.levels) == 7
+    for idx, val in fwd.levels:
+        got = np.zeros(g.n)
+        got[idx] = val
+        np.testing.assert_allclose(got, expect, atol=1e-12)
+        total += expect
         expect = SQC * (P @ expect)
-    np.testing.assert_allclose(fwd.pi, np.sum(fwd.pis, axis=0), atol=1e-12)
+    np.testing.assert_allclose(fwd.pi, total, atol=1e-12)
 
 
 def test_forward_mass_on_cycle():
@@ -54,7 +66,7 @@ def test_linearized_with_exact_D_matches_power_method(name, source):
     g = gen.load(name)
     S = power_truth(name)
     d = exact_d(name)
-    s, _ = linearized.single_source(g.csr, source, d, c=C, eps=1e-8)
+    s, _ = _query(g, source, d, eps=1e-8)
     assert np.abs(s - S[:, source]).max() < 1e-7
 
 
@@ -64,8 +76,9 @@ def test_sparse_linearization_error_bound(eps):
     g = gen.load("GQ-lite")
     d = exact_d("GQ-lite")
     L = linearized.iterations_for(eps, C)
-    dense, _ = linearized.single_source(g.csr, 0, d, c=C, eps=eps, sparse=False, L=L)
-    sparse, fwd = linearized.single_source(g.csr, 0, d, c=C, eps=eps, sparse=True, L=L)
+    thr = linearized.sparse_threshold(eps, C)
+    dense, _ = _query(g, 0, d, eps=eps, L=L)
+    sparse, fwd = _query(g, 0, d, eps=eps, threshold=thr, L=L)
     assert np.abs(dense - sparse).max() <= eps
     assert fwd.threshold > 0
 
@@ -73,8 +86,9 @@ def test_sparse_linearization_error_bound(eps):
 def test_sparse_reduces_stored_entries():
     g = gen.load("HP-lite")
     d = np.full(g.n, 1 - C)
-    _, fwd_dense = linearized.single_source(g.csr, 0, d, c=C, eps=1e-3)
-    _, fwd_sparse = linearized.single_source(g.csr, 0, d, c=C, eps=1e-3, sparse=True)
+    thr = linearized.sparse_threshold(1e-3, C)
+    _, fwd_dense = _query(g, 0, d, eps=1e-3)
+    _, fwd_sparse = _query(g, 0, d, eps=1e-3, threshold=thr)
     assert fwd_sparse.stored_entries < fwd_dense.stored_entries
     assert fwd_sparse.sparse_bytes() < fwd_dense.dense_bytes()
 
@@ -94,24 +108,36 @@ def test_backward_cycle_closed_form():
     backward phase reproduces it exactly."""
     g = gen.tiny_cycle(5)
     d = np.full(5, 1 - C)
-    s, _ = linearized.single_source(g.csr, 0, d, c=C, eps=1e-9)
+    s, _ = _query(g, 0, d, eps=1e-9)
     truth = np.zeros(5)
     truth[0] = 1.0
     np.testing.assert_allclose(s, truth, atol=1e-8)
 
 
-def test_forward_sparse_levels_match_dense_forward():
+def test_forward_threshold_matches_dense_reference():
+    """Lemma-2 forward against dense ``P`` hops, each zeroed at the threshold."""
     g = gen.load("WV-lite")
     eps = 1e-3
     L = linearized.iterations_for(eps, C)
     thr = linearized.sparse_threshold(eps, C)
     fwd = linearized.forward(g.csr, 3, c=C, L=L, threshold=thr)
-    levels, entries, edges = linearized.forward_sparse_levels(
-        g.csr, 3, c=C, L=L, threshold=thr
-    )
-    assert entries == fwd.stored_entries
-    assert edges > 0
-    for ell, (idx, val) in enumerate(levels):
-        dense = np.zeros(g.n)
-        dense[idx] = val
-        np.testing.assert_allclose(dense, fwd.pis[ell], atol=1e-12)
+    P = g.dense_P()
+    cur = np.zeros(g.n)
+    cur[3] = 1 - SQC
+    total = cur.copy()
+    stored, edges, dropped = 1, 0, 0
+    assert fwd.L == L
+    for ell, (idx, val) in enumerate(fwd.levels):
+        if ell:
+            edges += int(g.csr.din[np.flatnonzero(cur)].sum())
+            cur = SQC * (P @ cur)
+            dropped += int(np.count_nonzero((cur > 0) & (cur <= thr)))
+            cur[cur <= thr] = 0.0
+            stored += int(np.count_nonzero(cur))
+            total += cur
+        np.testing.assert_array_equal(idx, np.flatnonzero(cur))
+        np.testing.assert_allclose(val, cur[idx], rtol=0, atol=1e-12)
+    assert dropped > 0  # the threshold did cut entries
+    assert fwd.stored_entries == stored
+    assert fwd.edges == edges
+    np.testing.assert_allclose(fwd.pi, total, rtol=0, atol=1e-12)

@@ -6,6 +6,7 @@ from repro.core import diagonal, local_push
 from tests.helpers import exact_d
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
+from repro.linalg import matvec as mv
 
 C = 0.6
 TINY = [gen.tiny_cycle(4), gen.tiny_star(3), gen.tiny_star(5)]
@@ -169,9 +170,9 @@ def test_expand_batch_matches_per_row():
     batched, total = local_push._expand_batch(g.csr, rows)
     expected_total = 0
     for key, row in rows.items():
-        single, cost = local_push._expand(g.csr, row)
+        si, sv, cost = mv.expand_sparse(g.csr, row[0], row[1], prune=local_push.PRUNE)
         expected_total += cost
         bi, bv = batched[(key[0], key[1] + 1)]
-        np.testing.assert_array_equal(bi, single[0])
-        np.testing.assert_allclose(bv, single[1], atol=1e-12)
+        np.testing.assert_array_equal(bi, si)
+        np.testing.assert_array_equal(bv, sv)
     assert total == expected_total

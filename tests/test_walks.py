@@ -152,8 +152,8 @@ def test_walk_trace_length_distribution():
 
 def test_trace_rows_local_deterministic():
     g = gen.load("GQ-lite")
-    a = traces.trace_rows_local(g, r_per_node=3, c=C, seed=6)
-    b = traces.trace_rows_local(g, r_per_node=3, c=C, seed=6)
+    a = traces.trace_rows(g, r_per_node=3, c=C, seed=6)
+    b = traces.trace_rows(g, r_per_node=3, c=C, seed=6)
     assert a.equals(b)
     assert set(a.columns) == {"node", "r", "step", "pos"}
     assert a["r"].max() <= 2
