@@ -5,11 +5,13 @@ compute the head ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` *exactly* via the Lemma-4 recursi
 
     Z_ℓ(k,q) = c^ℓ M^ℓ(k,q)² − Σ_{t=1}^{ℓ-1} Σ_{q'} c^{ℓ-t} M^{ℓ-t}(q',q)² Z_t(k,q')
 
-(``M = Pᵀ`` is the walk transition matrix; all live ``M^t(q',·)`` rows of a
-level advance together in one ``linalg.matvec.expand_sparse`` push, packed
-under ``row·n + node`` keys), and estimate only the tail
+(``M = Pᵀ`` is the walk transition matrix), and estimate only the tail
 ``Σ_{ℓ>ℓ(k)} Z_ℓ(k) = c^{ℓ(k)}·Pr[survive ℓ(k) un-met ∧ √c-continuations
-meet]`` with the non-stop pair walks from ``walks.pair_walks``.
+meet]`` with the non-stop pair walks from ``walks.pair_walks``.  The head
+keeps one packed row set: every live ``M^t(q',·)`` row is a run of
+``row·n + node`` keys, its birth level and its coefficient ``Z_t(k,q')`` sit
+in two per-row arrays, and a level is one ``linalg.matvec.expand_sparse``
+push plus one accumulation of ``Z_ℓ`` over all rows.
 
 ``ℓ(k)`` is chosen adaptively: expansion stops once the traversed-edge
 counter ``E_k`` exceeds ``2R(k)/√c`` — the expected edge cost of simulating
@@ -18,15 +20,17 @@ deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
 (``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
 what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 
-The driver parallelizes *across nodes* with ``graphs.graph.run_partitioned``,
-spreading nodes ranked by ``R(k)`` over the partitions — the paper's own
-parallelization prescription (§3.2 "Parallelization").
+The driver parallelizes *across nodes* with ``graphs.graph.run_partitioned``
+(§3.2 "Parallelization").  Nodes go in sorted by ``R(k)``, but Spark's
+round-robin ``repartition`` reorders rows by hash before dealing them out,
+and one hub node (the source itself) can hold most of the work, so the
+tasks are not balanced (ROADMAP item 3).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 import pandas as pd
@@ -44,40 +48,6 @@ PRUNE = 1e-15
 #: change the 1e-7 digit.
 MAX_LEVEL = 40
 
-SparseVec = Tuple[np.ndarray, np.ndarray]  # (indices int64, values float64)
-RowKey = Tuple[int, int]  # (origin node q, level t) identifying an M^t(q,·) row
-
-
-def _expand_batch(
-    csr: CSRGraph, rows: Dict[RowKey, SparseVec]
-) -> Tuple[Dict[RowKey, SparseVec], int]:
-    """Advance every row one level in a single ``expand_sparse`` push.
-
-    Row ``r``'s entries are packed under the keys ``r·n + node``, pushed
-    along the reversed edges at once and split back per row — one numpy
-    pass per level instead of one per row, which is what makes deep heads
-    affordable.  Returns the advanced rows (keyed one level up) and the
-    edges traversed (the ``E_k`` increment); entries at dead-end nodes
-    vanish, since the walk must stop there.
-    """
-    keys = list(rows)
-    out: Dict[RowKey, SparseVec] = {
-        (q, lvl + 1): (np.zeros(0, np.int64), np.zeros(0)) for (q, lvl) in keys
-    }
-    if not keys:
-        return out, 0
-    sizes = [rows[key][0].size for key in keys]
-    rid = np.repeat(np.arange(len(keys), dtype=np.int64), sizes)
-    packed = rid * csr.n + np.concatenate([rows[key][0] for key in keys])
-    val = np.concatenate([rows[key][1] for key in keys])
-    uk, acc, total = mv.expand_sparse(csr, packed, val, prune=PRUNE)
-    out_rid, out_nbr = np.divmod(uk, csr.n)
-    bounds = np.searchsorted(out_rid, np.arange(len(keys) + 1))
-    for i, (q, lvl) in enumerate(keys):
-        s, e = bounds[i], bounds[i + 1]
-        out[(q, lvl + 1)] = (out_nbr[s:e], acc[s:e])
-    return out, total
-
 
 @dataclass
 class HeadResult:
@@ -94,58 +64,49 @@ def meeting_head(
 ) -> HeadResult:
     """Exact ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` with adaptive depth under an edge budget.
 
-    Invariant: entering iteration ℓ, ``rows`` holds exactly the ``M^t(q,·)``
-    rows needed to advance this level — ``(k, ℓ-1)`` plus ``(q', ℓ-1-t)`` for
-    every ``q' ∈ supp Z_t`` — each of which moves up one level per iteration
-    (so the batched expansion is a single vectorized pass).  The traversal
-    cost of a level is known *before* paying it (sum of in-degrees over all
-    row entries), so the budget check aborts a level without partial work,
-    mirroring Algorithm 3's ``E_k`` counter at level granularity.
+    Row ``r`` holds ``M^{ℓ-t_r}(q_r,·)`` entering level ``ℓ``: the node's own
+    row (``q = k``, ``t = 0``, ``z = -1``), or the row born at level ``t`` for
+    ``q ∈ supp Z_t`` with ``z = Z_t(k,q)``.  Lemma 4 is then one sum over
+    rows, ``Z_ℓ(k,·) = Σ_r -c^{ℓ-t_r} z_r M^{ℓ-t_r}(q_r,·)²``.  All live
+    entries sit under ``r·n + node`` keys with ``r`` in birth order, so a
+    level is one ``expand_sparse`` push and one accumulation whatever the
+    row count, and each ``Z_ℓ(k,q)`` adds its terms in birth order.  The
+    traversal cost of a level is known *before* paying it (sum of in-degrees
+    over all row entries), so the budget check aborts a level without
+    partial work, mirroring Algorithm 3's ``E_k`` counter at level
+    granularity.
     """
-    rows: Dict[RowKey, SparseVec] = {
-        (k, 0): (np.array([k], dtype=np.int64), np.ones(1))
-    }
-    z: Dict[int, SparseVec] = {}  # t -> Z_t(k, ·)
+    n = csr.n
+    c_pow = np.array([c**j for j in range(max_level + 1)])
+    keys = np.array([k], dtype=np.int64)
+    val = np.ones(1)
+    birth = np.zeros(1, dtype=np.int64)  # t_r
+    coef = np.full(1, -1.0)  # z_r
     z_sum = 0.0
     edges = 0
     ell_done = 0
     for ell in range(1, max_level + 1):
         # Cost of this level, computed before committing to it.
-        cost = sum(
-            int(csr.din[idx].sum()) for idx, _ in rows.values()
-        )
+        cost = int(csr.din[keys % n].sum())
         if edges + cost > budget_edges:
             break  # unaffordable level: ℓ(k) stays at ell-1 (0 ⇒ Algorithm 2)
-        new_rows, actual = _expand_batch(csr, rows)
+        # Entries at dead ends or pruned away vanish; so do rows left empty.
+        keys, val, actual = mv.expand_sparse(csr, keys, val, prune=PRUNE)
         edges += actual
-        # Rows that died out (dead ends / pruned away) need no further work.
-        new_rows = {key: row for key, row in new_rows.items() if row[0].size}
-        empty = (np.zeros(0, np.int64), np.zeros(0))
-        # --- Lemma 4 at this level. ---
-        ki, kv = new_rows.get((k, ell), empty)
-        acc_idx = [ki]
-        acc_val = [(c**ell) * kv**2]
-        for t in range(1, ell):
-            zi, zv = z[t]
-            for pos, q in enumerate(zi.tolist()):
-                ri, rv = new_rows.get((q, ell - t), empty)
-                if ri.size:
-                    acc_idx.append(ri)
-                    acc_val.append(-(c ** (ell - t)) * rv**2 * zv[pos])
-        all_idx = np.concatenate(acc_idx)
-        all_val = np.concatenate(acc_val)
-        uniq, inv = np.unique(all_idx, return_inverse=True)
-        zl = np.bincount(inv, weights=all_val, minlength=uniq.size)
-        keep = np.abs(zl) > PRUNE
-        z[ell] = (uniq[keep], zl[keep])
-        z_sum += float(zl[keep].sum())
+        # --- Lemma 4 at this level.  Each term is (-c^{ℓ-t} · M²) · z, so
+        # the own row's z = -1 only flips a sign: its terms are c^ℓ · M². ---
+        rid, node = np.divmod(keys, n)
+        scale = -c_pow[ell - birth]
+        zi, zv = mv.accumulate(node, scale[rid] * val**2 * coef[rid], n, prune=PRUNE)
+        z_sum += float(zv.sum())
         ell_done = ell
-        # Next iteration advances the surviving rows plus fresh base rows for
-        # this level's first-meeting nodes.
-        rows = new_rows
-        for q in z[ell][0].tolist():
-            rows[(q, 0)] = (np.array([q], dtype=np.int64), np.ones(1))
-        if c**ell < PRUNE or not rows:
+        # This level's first-meeting nodes start rows after all older ones.
+        new_rid = coef.size + np.arange(zi.size, dtype=np.int64)
+        keys = np.concatenate([keys, new_rid * n + zi])
+        val = np.concatenate([val, np.ones(zi.size)])
+        birth = np.concatenate([birth, np.full(zi.size, ell, dtype=np.int64)])
+        coef = np.concatenate([coef, zv])
+        if c**ell < PRUNE or not keys.size:
             break
     return HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
 
@@ -208,10 +169,10 @@ def estimate_D_local_push(
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
     ``(node, d_hat, ell, pairs)``.  ``engine`` (``'local'`` or ``'spark'``)
-    picks where the nodes run.  Work rows are sorted by ``R(k)``, so each
-    slice Spark reads holds one band of budgets, which the round-robin
-    spread splits evenly over the tasks (the paper's load-balancing rule);
-    seeds are per node so both engines agree exactly.
+    picks where the nodes run.  Work rows are sorted by ``R(k)``; on Spark
+    the round-robin ``repartition`` reorders them by hash, so a task's share
+    of the work is not controlled (see the module docstring).  Seeds are per
+    node so both engines agree exactly.
     """
     order = np.argsort(counts, kind="stable")[::-1]
     nodes, counts = nodes[order], counts[order]

@@ -4,7 +4,8 @@ Dense mat-vecs are one ``np.bincount`` over the edge list (the vectors live
 in driver memory, DESIGN.md §3).  :func:`expand_sparse` is the one
 local-push kernel: its cost scales with the pushed support, and it advances
 many sparse vectors at once through ``row·n + node`` keys.  The forward
-pass, the PRSim-lite index and Algorithm 3's ``M^t`` rows all use it.
+pass, the PRSim-lite index and Algorithm 3's ``M^t`` rows all use it.  Its
+sums go through :func:`accumulate`, which Algorithm 3's ``Z_ℓ`` also uses.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -66,13 +67,25 @@ def expand_sparse(
     shift = np.repeat(csr.in_indptr[node] - (np.cumsum(counts) - counts), counts)
     target = np.repeat(keys - node, counts) + csr.in_neighbors[shift + np.arange(total)]
     w = np.repeat(val / counts, counts)
-    span = (int(keys.max()) // n + 1) * n
-    if total >= span:
-        # Dense accumulator: never larger than the pushed arrays.
-        acc = np.bincount(target, weights=w, minlength=span)
+    out, acc = accumulate(target, w, (int(keys.max()) // n + 1) * n, prune=prune)
+    return out, acc, total
+
+
+def accumulate(
+    keys: np.ndarray, w: np.ndarray, span: int, *, prune: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``w`` per key in ``[0, span)``; sums with ``|sum| <= prune`` drop.
+
+    A dense ``np.bincount`` when there are at least ``span`` terms (so it is
+    never larger than the inputs), ``np.unique`` otherwise.  Both add each
+    key's terms in input order, so the choice never changes a bit of the
+    result.  Returns the sorted keys and their sums.
+    """
+    if keys.size >= span:
+        acc = np.bincount(keys, weights=w, minlength=span)
         out = np.flatnonzero(np.abs(acc) > prune)
-        return out, acc[out], total
-    uniq, inv = np.unique(target, return_inverse=True)
+        return out, acc[out]
+    uniq, inv = np.unique(keys, return_inverse=True)
     acc = np.bincount(inv, weights=w, minlength=uniq.size)
     keep = np.abs(acc) > prune
-    return uniq[keep], acc[keep], total
+    return uniq[keep], acc[keep]

@@ -109,6 +109,28 @@ def test_expand_sparse_accumulators_agree():
     assert e0 == e10 == g.m
 
 
+def test_expand_sparse_packed_rows_match_per_row():
+    """Rows packed under ``row·n + node`` keys advance in one push exactly as
+    they do one at a time."""
+    g = gen.load("WV-lite")
+    rng = np.random.default_rng(8)
+    rows = [
+        (np.sort(rng.choice(g.n, size=8, replace=False)).astype(np.int64), rng.random(8))
+        for _ in range(5)
+    ]
+    keys = np.concatenate([r * g.n + idx for r, (idx, _) in enumerate(rows)])
+    val = np.concatenate([v for _, v in rows])
+    bk, bv, total = mv.expand_sparse(g.csr, keys, val, prune=1e-15)
+    row, node = np.divmod(bk, g.n)
+    expected_total = 0
+    for r, (idx, v) in enumerate(rows):
+        si, sv, cost = mv.expand_sparse(g.csr, idx, v, prune=1e-15)
+        expected_total += cost
+        np.testing.assert_array_equal(node[row == r], si)
+        np.testing.assert_array_equal(bv[row == r], sv)
+    assert total == expected_total
+
+
 def test_expand_sparse_prunes():
     g = gen.tiny_star(3)
     # Mass at the center spreads 1/3 to each leaf; prune above that drops all.

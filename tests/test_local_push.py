@@ -6,7 +6,6 @@ from repro.core import diagonal, local_push
 from tests.helpers import exact_d
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
-from repro.linalg import matvec as mv
 
 C = 0.6
 TINY = [gen.tiny_cycle(4), gen.tiny_star(3), gen.tiny_star(5)]
@@ -59,6 +58,35 @@ def test_meeting_head_cycle_first_meeting():
     g = gen.tiny_cycle(6)
     hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**6)
     assert hr.z_sum == pytest.approx(C, abs=1e-12)
+
+
+def test_meeting_head_matches_dense_lemma4_recursion():
+    """Every GQ-lite head equals the dense matrix form of Lemma 4,
+    ``Z_ℓ = S_ℓ − Σ_{t<ℓ} Z_t S_{ℓ-t}`` with ``S_j = c^j (M^j)∘(M^j)`` and
+    ``M = Pᵀ``, summed over ``ℓ <= ℓ(k)`` — at a budget that reaches
+    ``max_level`` and at one that stops mid-depth."""
+    g = gen.load("GQ-lite")
+    depth = 5
+    m = g.dense_P().T
+    s, m_pow = [], np.eye(g.n)
+    for j in range(1, depth + 1):
+        m_pow = m_pow @ m
+        s.append(C**j * m_pow * m_pow)
+    z = []
+    for ell in range(1, depth + 1):
+        z.append(s[ell - 1] - sum(z[t - 1] @ s[ell - t - 1] for t in range(1, ell)))
+    # head[ℓ, k] = Σ_{ℓ' <= ℓ} Z_ℓ'(k, ·).sum()
+    head = np.cumsum([np.zeros(g.n)] + [zl.sum(axis=1) for zl in z], axis=0)
+    for budget, ells in [(10**9, {depth}), (3000, {2, 3, 4})]:
+        seen = set()
+        for k in range(g.n):
+            hr = local_push.meeting_head(
+                g.csr, k, c=C, budget_edges=budget, max_level=depth
+            )
+            assert abs(hr.z_sum - head[hr.ell, k]) <= 1e-12, (budget, k, hr)
+            assert hr.edges <= budget
+            seen.add(hr.ell)
+        assert seen == ells, budget
 
 
 def test_z_recursion_vs_brute_force_paths():
@@ -159,20 +187,3 @@ def test_estimate_D_local_push_spark_matches_local(spark):
     np.testing.assert_array_equal(d_a, d_b)
     assert st_a.equals(st_b)
 
-
-def test_expand_batch_matches_per_row():
-    g = gen.load("WV-lite")
-    rng = np.random.default_rng(8)
-    rows = {}
-    for i, q in enumerate(rng.choice(g.n, size=5, replace=False)):
-        nz = rng.choice(g.n, size=8, replace=False).astype(np.int64)
-        rows[(int(q), i)] = (np.sort(nz), rng.random(8))
-    batched, total = local_push._expand_batch(g.csr, rows)
-    expected_total = 0
-    for key, row in rows.items():
-        si, sv, cost = mv.expand_sparse(g.csr, row[0], row[1], prune=local_push.PRUNE)
-        expected_total += cost
-        bi, bv = batched[(key[0], key[1] + 1)]
-        np.testing.assert_array_equal(bi, si)
-        np.testing.assert_array_equal(bv, sv)
-    assert total == expected_total

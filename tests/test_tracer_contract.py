@@ -1,5 +1,7 @@
 """The benchmark's tracer (``perfbench/tracer.py``) reaches the query layers
 by module attribute name; a rename or a bypassed call shows up here."""
+import json
+
 from perfbench import tracer
 
 from repro.core import exactsim as exactsim_mod
@@ -11,7 +13,7 @@ def test_tracer_targets_exist():
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
 
 
-def test_tracer_sees_every_layer():
+def test_tracer_sees_every_layer(tmp_path):
     g = gen.load("GQ-lite")
     tr = tracer.Tracer()
     for qid, variant in enumerate(("opt", "basic")):
@@ -28,3 +30,9 @@ def test_tracer_sees_every_layer():
                   "alg3.pairs_simulated_ratio", "head.calls", "head.edges",
                   "tail.calls", "tail.pairs", "walks.calls", "walks.pairs"):
         assert m[count] > 0, count
+    # Counts must be plain Python numbers: json.dumps rejects numpy integers.
+    tr.dump(tmp_path / "spans.jsonl")
+    spans = [json.loads(line) for line in (tmp_path / "spans.jsonl").read_text().splitlines()]
+    heads = [s["counts"] for s in spans if s["name"] == "head"]
+    assert heads and len(spans) == len(tr.spans)
+    assert all(type(h["edges"]) is int and type(h["ell"]) is int for h in heads)
