@@ -97,10 +97,8 @@ def estimate_D_mc(
     d_hat = np.full(graph.n, 1.0 - c)
     if nodes.size == 0:
         return d_hat
-    assignments = pair_walks.make_assignments(
-        graph, nodes, counts, np.zeros(nodes.size, dtype=np.int64), seed
-    )
-    res = pair_walks.simulate_pairs(graph, assignments, c=c, engine=engine)
+    assignments = pair_walks.make_assignments(nodes, counts)
+    res = pair_walks.simulate_pairs(graph, assignments, c=c, seed=seed, engine=engine)
     res = res.set_index("node")
     met = res["met"].reindex(nodes).to_numpy(dtype=np.float64)
     tot = res["pairs"].reindex(nodes).to_numpy(dtype=np.float64)

@@ -20,11 +20,18 @@ deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
 (``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
 what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 
-The driver parallelizes *across nodes* with ``graphs.graph.run_partitioned``
-(§3.2 "Parallelization").  Nodes go in sorted by ``R(k)``, but Spark's
-round-robin ``repartition`` reorders rows by hash before dealing them out,
-and one hub node (the source itself) can hold most of the work, so the
-tasks are not balanced (ROADMAP item 3).
+Nodes run in batches (:func:`estimate_batch`).  A node whose level 1
+alone costs more than its budget — the first test ``meeting_head`` makes —
+keeps ``ℓ(k) = 0`` without a head call; the other nodes get one
+``meeting_head`` call each, and every tail of the batch walks in one
+multi-start ``pair_meet_count`` call with per-pair start nodes and non-stop
+prefixes, meetings counted back per node.
+
+The driver parallelizes *across batches* with ``graphs.graph.run_partitioned``
+(§3.2 "Parallelization").  Nodes sorted by ``R(k)`` are dealt round-robin
+into :data:`BATCHES` rows, but Spark's round-robin ``repartition`` reorders
+rows by hash before dealing them out, and one hub node (the source itself)
+can hold most of the work, so the tasks are not balanced (ROADMAP item 3).
 """
 from __future__ import annotations
 
@@ -111,48 +118,69 @@ def meeting_head(
     return HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
 
 
-def estimate_node(
+def estimate_batch(
     csr: CSRGraph,
-    k: int,
-    r_k: int,
+    nodes: np.ndarray,
+    r: np.ndarray,
     *,
     c: float,
     rng: np.random.Generator,
     skip_tol: float = 0.0,
-) -> Tuple[float, int, int]:
-    """Full Algorithm 3 for one node: head + sampled tail.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full Algorithm 3 for a batch of nodes: heads, then every tail at once.
 
-    Returns ``(D̂(k,k), ℓ(k), pairs actually simulated)``.  Trivial in-degree
-    cases short-circuit (lines 1-4).  If the tail bound ``c^{ℓ(k)}`` is below
-    ``skip_tol`` the sampling step is skipped — the estimate is then
-    deterministic with error <= ``c^{ℓ(k)}``.
+    Returns ``(D̂(k,k), ℓ(k), pairs actually simulated)`` arrays aligned
+    with ``nodes``; ``r`` holds the allocations ``R(k)``.  Trivial
+    in-degree cases short-circuit (lines 1-4).  A node whose level 1 alone
+    costs more than its budget (``d_in(k) > ⌈2R(k)/√c⌉``, the first test
+    ``meeting_head`` makes) keeps ``ℓ(k) = 0`` without a head call.  If the
+    tail bound ``c^{ℓ(k)}`` is below ``skip_tol`` the sampling step is
+    skipped — the estimate is then deterministic with error <= ``c^{ℓ(k)}``.
 
     The tail sample count is scaled down to ``R'(k) = ⌈c^{ℓ(k)} R(k)⌉``: the
     tail estimator's values live in ``{0, c^{ℓ(k)}}``, so its variance is
     ``c^{2ℓ(k)} q(1-q)/R' <= c^{ℓ(k)}/(4R(k)) <= 1/(4R(k))`` — never worse
     than Algorithm 2 at the full ``R(k)``.  This is how the paper's "reduces
     the variance by at least ``c^{ℓ(k)}``" claim turns into wall-clock
-    savings (Figure 9's 10-100×) rather than only accuracy.
+    savings (Figure 9's 10-100×) rather than only accuracy.  All tails of
+    the batch walk in one ``pair_meet_count`` call with per-pair start
+    nodes and non-stop prefixes; the meetings are counted back per node.
     """
-    din = int(csr.din[k])
-    if din == 0:
-        return 1.0, 0, 0
-    if din == 1:
-        return 1.0 - c, 0, 0
-    budget = int(math.ceil(2.0 * r_k / math.sqrt(c)))
-    head = meeting_head(csr, k, c=c, budget_edges=budget)
-    d_hat = 1.0 - head.z_sum
-    if c**head.ell <= skip_tol:
-        return d_hat, head.ell, 0
-    r_sim = int(math.ceil(r_k * c**head.ell))
-    met = pair_meet_count(csr, k, r_sim, c=c, rng=rng, nonstop_steps=head.ell)
-    d_hat -= (c**head.ell) * met / max(r_sim, 1)
-    return d_hat, head.ell, r_sim
+    nodes = np.asarray(nodes, dtype=np.int64)
+    r = np.asarray(r, dtype=np.int64)
+    c_pow = np.array([c**j for j in range(MAX_LEVEL + 1)])
+    din = csr.din[nodes]
+    budget = np.ceil(2.0 * r / math.sqrt(c))
+    d_hat = np.where(din == 1, 1.0 - c, 1.0)
+    ell = np.zeros(nodes.size, dtype=np.int64)
+    for i in np.flatnonzero((din > 1) & (din <= budget)):
+        head = meeting_head(csr, int(nodes[i]), c=c, budget_edges=int(budget[i]))
+        d_hat[i] = 1.0 - head.z_sum
+        ell[i] = head.ell
+    tail = (din > 1) & (c_pow[ell] > skip_tol)
+    pairs = np.where(tail, np.ceil(r * c_pow[ell]), 0.0).astype(np.int64)
+    hits = pair_meet_count(
+        csr,
+        np.repeat(nodes, pairs),
+        int(pairs.sum()),
+        c=c,
+        rng=rng,
+        nonstop_steps=np.repeat(ell, pairs),
+    )
+    # Pair ids run node by node: a meeting belongs to the node whose
+    # cumulative pair count first exceeds its id.
+    met = np.bincount(np.searchsorted(np.cumsum(pairs), hits, side="right"), minlength=nodes.size)
+    d_hat -= c_pow[ell] * met / np.maximum(pairs, 1)
+    return d_hat, ell, pairs
 
 
 # ---------------------------------------------------------------------------
 # Distributed driver
 # ---------------------------------------------------------------------------
+
+#: Work rows of Algorithm 3.  Nodes sorted by ``R(k)`` are dealt round-robin
+#: into this many batches on both engines, so both draw the same streams.
+BATCHES = 16
 
 
 def estimate_D_local_push(
@@ -169,30 +197,35 @@ def estimate_D_local_push(
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
     ``(node, d_hat, ell, pairs)``.  ``engine`` (``'local'`` or ``'spark'``)
-    picks where the nodes run.  Work rows are sorted by ``R(k)``; on Spark
-    the round-robin ``repartition`` reorders them by hash, so a task's share
-    of the work is not controlled (see the module docstring).  Seeds are per
-    node so both engines agree exactly.
+    picks where the batches run.  Nodes are sorted by ``R(k)`` and dealt
+    round-robin into :data:`BATCHES` work rows, batch ``b`` walking the
+    stream ``np.random.default_rng([seed, b])`` (``seed >= 0``), so both
+    engines agree exactly.  On Spark the round-robin ``repartition``
+    reorders the rows by hash, so a task's share of the work is not
+    controlled (see the module docstring).
     """
     order = np.argsort(counts, kind="stable")[::-1]
-    nodes, counts = nodes[order], counts[order]
+    nodes = nodes[order].astype(np.int64)
+    counts = counts[order].astype(np.int64)
+    batches = range(min(BATCHES, nodes.size))
     work = pd.DataFrame(
         {
-            "node": nodes.astype(np.int64),
-            "r_k": counts.astype(np.int64),
-            "seed": ((seed * 1_000_003 + nodes) & 0x7FFFFFFF).astype(np.int64),
+            "batch": list(batches),
+            "node": [nodes[b::BATCHES].tolist() for b in batches],
+            "r_k": [counts[b::BATCHES].tolist() for b in batches],
         }
     )
 
     def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        out = []
+        cols = []
         for row in pdf.itertuples(index=False):
-            rng = np.random.default_rng(int(row.seed))
-            d_hat, ell, pairs = estimate_node(
-                csr, int(row.node), int(row.r_k), c=c, rng=rng, skip_tol=skip_tol
+            members = np.asarray(row.node, dtype=np.int64)
+            rng = np.random.default_rng([seed, int(row.batch)])
+            cols.append(
+                (members, *estimate_batch(csr, members, row.r_k, c=c, rng=rng, skip_tol=skip_tol))
             )
-            out.append((int(row.node), d_hat, ell, pairs))
-        return pd.DataFrame(out, columns=["node", "d_hat", "ell", "pairs"])
+        node, d_hat, ell, pairs = (np.concatenate(col) for col in zip(*cols))
+        return pd.DataFrame({"node": node, "d_hat": d_hat, "ell": ell, "pairs": pairs})
 
     stats = (
         run_partitioned(

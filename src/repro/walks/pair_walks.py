@@ -13,14 +13,20 @@ The paper's D-estimators simulate *pairs* of √c-walks from a node ``v_k``:
 
 ``pair_meet_count`` is the vectorized numpy kernel (arrays shrink as pairs
 finish; expected √c-walk length is ``1/(1-√c) ≈ 4.4`` steps so the loop is
-short).  ``simulate_pairs`` runs it over a frame of per-node chunk
-assignments, in-process or on Spark through ``graphs.graph.run_partitioned``
-— the paper's "embarrassingly parallel" phase, load-balanced by chunking
-``R(k)``.
+short).  Given one start node it returns a meeting count; given a start
+array (one node and one non-stop prefix per pair) it walks many nodes'
+pairs at once, as the Algorithm-3 batches do, and returns the ids of the
+pairs that meet.  ``simulate_pairs`` runs it over a frame of per-node chunk
+assignments (Algorithm 2), in-process or on Spark through
+``graphs.graph.run_partitioned`` — the paper's "embarrassingly parallel"
+phase, load-balanced by chunking ``R(k)``.  Every chunk or batch walks its
+own stream, ``np.random.default_rng`` of a key such as ``[seed, node,
+chunk]``.
 """
 from __future__ import annotations
 
 import math
+from typing import Union
 
 import numpy as np
 import pandas as pd
@@ -34,43 +40,56 @@ MAX_STEPS = 300
 
 def pair_meet_count(
     csr: CSRGraph,
-    start: int,
+    start: Union[int, np.ndarray],
     pairs: int,
     *,
     c: float,
     rng: np.random.Generator,
-    nonstop_steps: int = 0,
-) -> int:
-    """Number of the ``pairs`` simulated pairs from ``start`` that meet.
+    nonstop_steps: Union[int, np.ndarray] = 0,
+) -> Union[int, np.ndarray]:
+    """Meetings among ``pairs`` simulated pairs of walks.
 
-    With ``nonstop_steps == 0`` this is Algorithm 2's meeting count.  With
-    ``nonstop_steps == ℓ0 > 0`` it counts pairs that complete the non-stop
-    prefix un-met and whose √c-continuations then meet (Algorithm 3 lines
-    22-27); the caller scales by ``c^{ℓ0}``.
+    With a scalar ``start`` every pair starts there and the result is the
+    number of pairs that meet.  ``nonstop_steps == 0`` gives Algorithm 2's
+    meeting count; ``nonstop_steps == ℓ0 > 0`` counts pairs that complete
+    the non-stop prefix un-met and whose √c-continuations then meet
+    (Algorithm 3 lines 22-27), and the caller scales by ``c^{ℓ0}``.
+
+    With an array ``start`` (one start node per pair, ``pairs`` long) the
+    walks of many nodes run in one call: ``nonstop_steps`` may then be one
+    prefix per pair, and the result is the ids (positions in ``start``) of
+    the pairs that meet.  Only this form tracks which pair is which.
     """
+    multi = np.ndim(start) > 0
     if pairs <= 0:
-        return 0
+        return np.zeros(0, dtype=np.int64) if multi else 0
     sqrt_c = math.sqrt(c)
-    pos_a = np.full(pairs, start, dtype=np.int64)
+    if multi:
+        pos_a = np.asarray(start, dtype=np.int64)
+        nonstop = np.broadcast_to(np.asarray(nonstop_steps, dtype=np.int64), (pairs,))
+        last_nonstop = int(nonstop.max())
+        pid = np.arange(pairs)
+        hits = [np.zeros(0, dtype=np.int64)]
+    else:
+        pos_a = np.full(pairs, start, dtype=np.int64)
+        last_nonstop = nonstop_steps
     pos_b = pos_a.copy()
     met = 0
     for step in range(1, MAX_STEPS + 1):
         k = pos_a.shape[0]
         if k == 0:
             break
-        da = csr.din[pos_a]
-        db = csr.din[pos_b]
-        if step <= nonstop_steps:
-            cont = (da > 0) & (db > 0)
-        else:
-            cont = (
-                (da > 0)
-                & (db > 0)
-                & (rng.random(k) < sqrt_c)
-                & (rng.random(k) < sqrt_c)
+        cont = (csr.din[pos_a] > 0) & (csr.din[pos_b] > 0)
+        if step > last_nonstop:
+            cont &= (rng.random(k) < sqrt_c) & (rng.random(k) < sqrt_c)
+        elif multi:  # pairs still inside their own non-stop prefix always move
+            cont &= (nonstop[pid] >= step) | (
+                (rng.random(k) < sqrt_c) & (rng.random(k) < sqrt_c)
             )
         pos_a = pos_a[cont]
         pos_b = pos_b[cont]
+        if multi:
+            pid = pid[cont]
         if pos_a.shape[0] == 0:
             break
         da = csr.din[pos_a]
@@ -78,13 +97,18 @@ def pair_meet_count(
         pos_a = csr.in_neighbors[csr.in_indptr[pos_a] + rng.integers(0, da)]
         pos_b = csr.in_neighbors[csr.in_indptr[pos_b] + rng.integers(0, db)]
         coincide = pos_a == pos_b
-        if step > nonstop_steps:
-            met += int(np.count_nonzero(coincide))
         # A coincidence inside the non-stop prefix means first meeting <= ℓ0,
         # already handled deterministically: the pair is discarded (counts 0).
+        if multi:
+            counted = coincide if step > last_nonstop else coincide & (nonstop[pid] < step)
+            hits.append(pid[counted])
+        elif step > last_nonstop:
+            met += int(np.count_nonzero(coincide))
         pos_a = pos_a[~coincide]
         pos_b = pos_b[~coincide]
-    return met
+        if multi:
+            pid = pid[~coincide]
+    return np.concatenate(hits) if multi else met
 
 
 # ---------------------------------------------------------------------------
@@ -96,67 +120,43 @@ def pair_meet_count(
 CHUNK = 200_000
 
 
-def make_assignments(
-    graph: Graph, nodes: np.ndarray, pairs: np.ndarray, nonstop: np.ndarray, seed: int
-) -> pd.DataFrame:
-    """Chunked (node, pairs, nonstop, seed) rows for the walk stage.
+def make_assignments(nodes: np.ndarray, pairs: np.ndarray) -> pd.DataFrame:
+    """Chunked (node, chunk, pairs) rows for the Algorithm-2 walk stage.
 
-    Deterministic: each chunk's seed derives from ``(seed, node, chunk idx)``
-    so re-running the same configuration replays the same walks.
+    Node ``k``'s ``R(k)`` pairs are split into chunks of at most
+    :data:`CHUNK`, numbered ``0, 1, ...`` per node.
     """
     rows = []
-    for k, r, l0 in zip(nodes.tolist(), pairs.tolist(), nonstop.tolist()):
-        chunk_idx = 0
-        while r > 0:
-            take = min(r, CHUNK)
-            rows.append(
-                (
-                    int(k),
-                    int(take),
-                    int(l0),
-                    int((seed * 1_000_003 + k) * 97 + chunk_idx) & 0x7FFFFFFF,
-                )
-            )
-            r -= take
-            chunk_idx += 1
-    return pd.DataFrame(rows, columns=["node", "pairs", "nonstop", "seed"])
+    for k, r in zip(nodes.tolist(), pairs.tolist()):
+        for j, first in enumerate(range(0, r, CHUNK)):
+            rows.append((k, j, min(CHUNK, r - first)))
+    return pd.DataFrame(rows, columns=["node", "chunk", "pairs"])
 
 
 def simulate_pairs(
-    graph: Graph, assignments: pd.DataFrame, *, c: float, engine: str
+    graph: Graph, assignments: pd.DataFrame, *, c: float, seed: int, engine: str
 ) -> pd.DataFrame:
     """Run the pair-walk kernel for every assignment row.
 
-    Returns one row per (node, nonstop) with summed ``met``/``pairs`` counts.
-    Each row seeds its own generator, so ``engine='spark'`` (rows spread
-    over the cluster with :func:`run_partitioned`) and ``engine='local'``
-    return identical counts.
+    Returns one row per node with summed ``met``/``pairs`` counts.  Chunk
+    ``j`` of node ``k`` walks the stream ``np.random.default_rng([seed, k,
+    j])`` (``seed >= 0``): re-running a configuration replays the same walks,
+    no two chunks share a stream, and ``engine='spark'`` (rows spread over
+    the cluster with :func:`run_partitioned`) and ``engine='local'`` return
+    identical counts.
     """
 
     def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
         out = []
         for row in pdf.itertuples(index=False):
-            rng = np.random.default_rng(int(row.seed))
-            met = pair_meet_count(
-                csr,
-                int(row.node),
-                int(row.pairs),
-                c=c,
-                rng=rng,
-                nonstop_steps=int(row.nonstop),
-            )
-            out.append((int(row.node), int(row.nonstop), met, int(row.pairs)))
-        return pd.DataFrame(out, columns=["node", "nonstop", "met", "pairs"])
+            node, pairs = int(row.node), int(row.pairs)
+            rng = np.random.default_rng([seed, node, int(row.chunk)])
+            out.append((node, pair_meet_count(csr, node, pairs, c=c, rng=rng), pairs))
+        return pd.DataFrame(out, columns=["node", "met", "pairs"])
 
-    res = run_partitioned(
-        graph,
-        assignments,
-        kernel,
-        "node long, nonstop long, met long, pairs long",
-        engine,
-    )
+    res = run_partitioned(graph, assignments, kernel, "node long, met long, pairs long", engine)
     return (
-        res.groupby(["node", "nonstop"], as_index=False)[["met", "pairs"]]
+        res.groupby("node", as_index=False)[["met", "pairs"]]
         .sum()
-        .astype({"node": "int64", "nonstop": "int64", "met": "int64", "pairs": "int64"})
+        .astype({"node": "int64", "met": "int64", "pairs": "int64"})
     )

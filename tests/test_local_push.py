@@ -1,4 +1,6 @@
 """Algorithm 3: Lemma-4 heads, adaptive budgets, tail sampling, Spark driver."""
+import math
+
 import numpy as np
 import pytest
 
@@ -120,45 +122,139 @@ def test_z_recursion_vs_brute_force_paths():
 
 
 # ---------------------------------------------------------------------------
-# estimate_node / Algorithm 3 end to end
+# estimate_batch / Algorithm 3 end to end
 # ---------------------------------------------------------------------------
 
 
-def test_estimate_node_trivial_cases():
+def _one_node(csr, k, r_k, **kw):
+    """``estimate_batch`` on a batch of one node, as ``(D̂, ℓ, pairs)``."""
+    d, ell, pairs = local_push.estimate_batch(csr, np.array([k]), np.array([r_k]), c=C, **kw)
+    return float(d[0]), int(ell[0]), int(pairs[0])
+
+
+def test_estimate_batch_one_node_trivial_cases():
     g = from_edges("chain", 3, np.array([0, 1]), np.array([1, 2]), directed=True)
     rng = np.random.default_rng(0)
-    assert local_push.estimate_node(g.csr, 0, 100, c=C, rng=rng) == (1.0, 0, 0)
-    d, ell, pairs = local_push.estimate_node(g.csr, 1, 100, c=C, rng=rng)
+    assert _one_node(g.csr, 0, 100, rng=rng) == (1.0, 0, 0)
+    d, ell, pairs = _one_node(g.csr, 1, 100, rng=rng)
     assert d == pytest.approx(1 - C) and pairs == 0
 
 
-def test_estimate_node_with_generous_budget_is_nearly_exact():
+def test_estimate_batch_one_node_generous_budget_is_nearly_exact():
     g = gen.tiny_star(4)
     d_exact = diagonal.exact_diagonal(g, c=C, tol=1e-13)
     rng = np.random.default_rng(1)
-    d, ell, pairs = local_push.estimate_node(
-        g.csr, 0, 100_000, c=C, rng=rng, skip_tol=1e-9
-    )
+    d, ell, pairs = _one_node(g.csr, 0, 100_000, rng=rng, skip_tol=1e-9)
     assert abs(d - d_exact[0]) < 1e-6
 
 
-def test_estimate_node_skip_tol_skips_sampling():
+def test_estimate_batch_one_node_skip_tol_skips_sampling():
     g = gen.tiny_star(4)
     rng = np.random.default_rng(1)
-    d, ell, pairs = local_push.estimate_node(
-        g.csr, 0, 100_000, c=C, rng=rng, skip_tol=0.9
-    )
+    d, ell, pairs = _one_node(g.csr, 0, 100_000, rng=rng, skip_tol=0.9)
     assert pairs == 0  # c^ell <= 0.9 already after one level
 
 
-def test_estimate_node_small_budget_falls_back_to_sampling():
+def test_estimate_batch_one_node_small_budget_falls_back_to_sampling():
     g = gen.load("GQ-lite")
     d_exact = exact_d("GQ-lite")
     rng = np.random.default_rng(2)
     # Hub node with a tiny budget: shallow head, tail mostly sampled.
-    d, ell, pairs = local_push.estimate_node(g.csr, 0, 2000, c=C, rng=rng)
+    d, ell, pairs = _one_node(g.csr, 0, 2000, rng=rng)
     assert pairs > 0
     assert abs(d - d_exact[0]) < 0.05
+
+
+@pytest.mark.parametrize("name", ["GQ-lite", "WV-lite"])
+def test_estimate_batch_matches_per_node_heads(name):
+    """Every node's ℓ(k) and tail pair count equal those of a per-node
+    ``meeting_head`` call at the budget ``⌈2R(k)/√c⌉``, for R(k) = 0, for
+    R(k) whose budget equals d_in(k) (level 1 just affordable), and for
+    R(k) of 40 and 3000 pairs — though the batch skips the heads it cannot afford."""
+    g = gen.load(name)
+    din = g.csr.din
+    nodes = np.arange(g.n, dtype=np.int64)
+    # Largest R with ⌈2R/√c⌉ <= d_in: its budget is d_in or just below it.
+    r_edge = np.floor(din * math.sqrt(C) / 2.0).astype(np.int64)
+    while True:
+        bump = np.ceil(2.0 * (r_edge + 1) / math.sqrt(C)) <= din
+        if not bump.any():
+            break
+        r_edge += bump
+    exact_budget = np.ceil(2.0 * r_edge / math.sqrt(C)) == din
+    assert np.count_nonzero(exact_budget & (din > 1)) > 10
+    skip_tol = 1e-3
+    for r in [np.zeros(g.n, dtype=np.int64), r_edge, r_edge + 1,
+              np.full(g.n, 40), np.full(g.n, 3000)]:
+        d_hat, ell, pairs = local_push.estimate_batch(
+            g.csr, nodes, r, c=C, rng=np.random.default_rng(0), skip_tol=skip_tol
+        )
+        for k in range(g.n):
+            r_k = int(r[k])
+            want_ell, want_pairs = 0, 0
+            if din[k] > 1:
+                budget = int(math.ceil(2.0 * r_k / math.sqrt(C)))
+                want_ell = local_push.meeting_head(g.csr, k, c=C, budget_edges=budget).ell
+                if C**want_ell > skip_tol:
+                    want_pairs = int(math.ceil(r_k * C**want_ell))
+            assert (ell[k], pairs[k]) == (want_ell, want_pairs), (k, r_k)
+        # Nodes whose budget is exactly d_in afford level 1.
+        if r is r_edge:
+            assert (ell[exact_budget & (din > 1)] >= 1).all()
+
+
+def test_estimate_batch_counts_meetings_to_their_own_node():
+    """Batch of alternating node kinds.  ``k`` has two dead-end
+    in-neighbours: its head is exact (``D = 1 - c/2``) and its tail walks can
+    never meet, so any meeting credited to it belongs to another node.  ``m``
+    has four dead-end in-neighbours, one pair (``R = 1``) and no head; its
+    pair meets with probability ``c/4``."""
+    groups = 60
+    src, dst = [], []
+    for i in range(groups):
+        k, m = 8 * i, 8 * i + 3
+        src += [k + 1, k + 2, m + 1, m + 2, m + 3, m + 4]
+        dst += [k, k, m, m, m, m]
+    g = from_edges("dead-ends", 8 * groups, np.array(src), np.array(dst), directed=True)
+    nodes = np.arange(8 * groups).reshape(groups, 8)[:, [0, 3]].ravel()  # k0, m0, k1, ...
+    r = np.tile([5, 1], groups)
+    d, ell, pairs = local_push.estimate_batch(
+        g.csr, nodes, r, c=C, rng=np.random.default_rng(7)
+    )
+    k, m = slice(0, None, 2), slice(1, None, 2)
+    assert (ell[k] >= 1).all() and (pairs[k] >= 1).all()
+    assert (ell[m] == 0).all() and (pairs[m] == 1).all()
+    np.testing.assert_array_equal(d[k], np.full(groups, 1.0 - C / 2))
+    assert 0 < np.count_nonzero(d[m] == 0.0) < groups  # some m pairs met
+    assert set(d[m]) <= {0.0, 1.0}
+
+
+def test_estimate_batch_tail_is_unbiased():
+    """Mean D̂ over 6 seeds against the exact D on every GQ-lite node, with
+    budgets small enough that most tails are sampled and R(k) alternating
+    between neighbouring nodes.  Per seed a node's
+    D̂ has variance <= c^{2ℓ}/(4·pairs), which bounds each node's error and
+    the summed error over all nodes (a bias in the tail walks or in how
+    meetings are counted back to nodes shows in the sum)."""
+    g = gen.load("GQ-lite")
+    d_exact = exact_d("GQ-lite")
+    nodes = np.arange(g.n, dtype=np.int64)
+    r = np.where(nodes % 2 == 0, 300, 3000)
+    seeds = range(6)
+    runs = [
+        local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(s))
+        for s in seeds
+    ]
+    d_mean = np.mean([d for d, _, _ in runs], axis=0)
+    ell, pairs = runs[0][1], runs[0][2]
+    sampled = pairs > 0
+    assert np.count_nonzero(sampled) > 400 and len(set(ell[sampled])) > 1
+    sd = C**ell[sampled] / (2.0 * np.sqrt(len(seeds) * pairs[sampled]))
+    err = d_mean[sampled] - d_exact[sampled]
+    assert np.all(np.abs(err) <= 5.0 * sd)
+    assert abs(err.sum()) <= 4.0 * np.sqrt(np.sum(sd**2))
+    # Nodes without samples (d_in <= 1) are exact.
+    np.testing.assert_allclose(d_mean[~sampled], d_exact[~sampled], atol=1e-12)
 
 
 def test_estimate_D_local_push_close_to_exact():

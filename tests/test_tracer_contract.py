@@ -2,9 +2,12 @@
 by module attribute name; a rename or a bypassed call shows up here."""
 import json
 
+import numpy as np
+
 from perfbench import tracer
 
 from repro.core import exactsim as exactsim_mod
+from repro.core import local_push
 from repro.graphs import generators as gen
 
 
@@ -36,3 +39,21 @@ def test_tracer_sees_every_layer(tmp_path):
     heads = [s["counts"] for s in spans if s["name"] == "head"]
     assert heads and len(spans) == len(tr.spans)
     assert all(type(h["edges"]) is int and type(h["ell"]) is int for h in heads)
+
+
+def test_traced_tail_pairs_match_simulated_pairs():
+    """Batching Algorithm 3's tails must neither drop nor double-count pairs
+    in the ``tail`` counter: it equals the pairs the stats frame reports."""
+    g = gen.load("GQ-lite")
+    tr = tracer.Tracer()
+    with tr.query(0):
+        nodes = np.arange(0, g.n, 3, dtype=np.int64)
+        counts = np.linspace(5, 4000, nodes.size).astype(np.int64)
+        _d, stats = local_push.estimate_D_local_push(g, nodes, counts, c=0.6, seed=2)
+        exactsim_mod.exactsim(g, 3, eps=1e-2, variant="basic", seed=1, max_pairs=100_000)
+    tails = [s.counts["pairs"] for s in tr.spans if s.name == "tail"]
+    walks = [s.counts["pairs"] for s in tr.spans if s.name == "walks"]
+    assert tails and walks
+    assert all(type(p) is int for p in tails + walks)
+    assert sum(tails) == int(stats["pairs"].sum()) > 0
+    assert tr.layer_metrics(1)["tail.pairs"] == sum(tails)

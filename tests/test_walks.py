@@ -85,27 +85,70 @@ def test_nonstop_tail_unbiased_on_star():
 
 
 def test_make_assignments_chunks_and_determinism():
-    g = gen.tiny_cycle(4)
     nodes = np.array([0, 1], dtype=np.int64)
     pairs = np.array([pair_walks.CHUNK + 10, 5], dtype=np.int64)
-    nonstop = np.array([0, 2], dtype=np.int64)
-    a = pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=3)
-    b = pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=3)
+    a = pair_walks.make_assignments(nodes, pairs)
+    b = pair_walks.make_assignments(nodes, pairs)
     assert a.equals(b)
     assert a["pairs"].sum() == pairs.sum()
     assert (a[a["node"] == 0]["pairs"]).tolist() == [pair_walks.CHUNK, 10]
-    # Different chunk -> different seed (walks are not replayed).
-    assert a["seed"].nunique() == len(a)
+    # Different chunk -> different stream key (walks are not replayed).
+    assert len(a.groupby(["node", "chunk"])) == len(a)
+
+
+def test_simulate_pairs_streams_distinct_across_nodes(monkeypatch):
+    """A node split into 98 chunks and its id neighbour walk pairwise-distinct
+    streams (a seed linear in node and chunk index repeats at chunk 97).
+    The kernel's generator seeds are recorded as it builds them."""
+    g = gen.load("GQ-lite")
+    monkeypatch.setattr(pair_walks, "CHUNK", 10)
+    seeds = []
+    real = np.random.default_rng
+
+    def recording_rng(seed):
+        seeds.append(tuple(np.atleast_1d(seed).tolist()))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    nodes = np.array([40, 41], dtype=np.int64)
+    asg = pair_walks.make_assignments(nodes, np.full(2, 98 * 10, dtype=np.int64))
+    res = pair_walks.simulate_pairs(g, asg, c=C, seed=5, engine="local")
+    assert res["pairs"].tolist() == [980, 980]
+    assert len(seeds) == 2 * 98
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_pair_meet_count_multi_start_counts_per_pair():
+    """A start array runs many nodes' walks in one call and returns the ids
+    of the pairs that meet, so meetings count back to each start node; a
+    prefix array gives each pair its own non-stop steps."""
+    g = gen.tiny_star(4)  # centre 0, leaves 1..4
+    d = diagonal.exact_diagonal(g, c=C, tol=1e-13)
+    n = 150_000
+    start = np.repeat(np.array([0, 1], dtype=np.int64), n)
+    hits = pair_walks.pair_meet_count(g.csr, start, 2 * n, c=C, rng=np.random.default_rng(4))
+    assert hits.dtype == np.int64 and np.unique(hits).size == hits.size
+    met = np.bincount(hits // n, minlength=2)
+    assert 1 - met / n == pytest.approx(d[:2], abs=0.008)
+    # From the centre with a 1-step prefix, the quarter of pairs that pick
+    # the same leaf is discarded and the rest meet back at the centre iff
+    # both continue; from a leaf without prefix, pairs meet iff both continue.
+    ns = np.repeat(np.array([1, 0], dtype=np.int64), n)
+    hits = pair_walks.pair_meet_count(
+        g.csr, start, 2 * n, c=C, rng=np.random.default_rng(5), nonstop_steps=ns
+    )
+    met = np.bincount(hits // n, minlength=2)
+    assert met / n == pytest.approx([0.75 * C, C], abs=0.008)
+    empty = pair_walks.pair_meet_count(g.csr, start[:0], 0, c=C, rng=np.random.default_rng(6))
+    assert empty.size == 0
 
 
 def test_simulate_pairs_local_aggregates():
     g = gen.load("GQ-lite")
     nodes = np.array([3, 3, 9], dtype=np.int64)
     pairs = np.array([100, 50, 70], dtype=np.int64)
-    nonstop = np.zeros(3, dtype=np.int64)
     res = pair_walks.simulate_pairs(
-        g, pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=1), c=C,
-        engine="local",
+        g, pair_walks.make_assignments(nodes, pairs), c=C, seed=1, engine="local"
     )
     assert res[res["node"] == 3]["pairs"].item() == 150
     assert res[res["node"] == 9]["pairs"].item() == 70
@@ -116,12 +159,11 @@ def test_simulate_pairs_spark_matches_local(spark):
     g = gen.load("GQ-lite", spark)
     nodes = np.arange(10, dtype=np.int64)
     pairs = np.full(10, 2000, dtype=np.int64)
-    nonstop = np.array([0, 0, 0, 0, 0, 1, 1, 2, 2, 3], dtype=np.int64)
-    asg = pair_walks.make_assignments(g, nodes, pairs, nonstop, seed=11)
-    a = pair_walks.simulate_pairs(g, asg, c=C, engine="local")
-    b = pair_walks.simulate_pairs(g, asg, c=C, engine="spark")
-    a = a.sort_values(["node", "nonstop"]).reset_index(drop=True)
-    b = b.sort_values(["node", "nonstop"]).reset_index(drop=True).astype(a.dtypes)
+    asg = pair_walks.make_assignments(nodes, pairs)
+    a = pair_walks.simulate_pairs(g, asg, c=C, seed=11, engine="local")
+    b = pair_walks.simulate_pairs(g, asg, c=C, seed=11, engine="spark")
+    a = a.sort_values("node").reset_index(drop=True)
+    b = b.sort_values("node").reset_index(drop=True).astype(a.dtypes)
     assert a.equals(b)
 
 
