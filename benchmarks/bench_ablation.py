@@ -2,7 +2,10 @@
 
 Matched ε and pair cap; the assertions pin the paper's qualitative result
 (the optimized variant is strictly more accurate under the same budget and
-simulates far fewer pairs thanks to the c^ℓ(k) variance reduction).
+simulates far fewer pairs thanks to the c^ℓ(k) variance reduction).  The
+accuracy comparison uses the median MaxError over fixed seeds: one draw of
+each variant can land either way (at seed 5 basic once drew 7.3e-5 against
+opt's 1.17e-4), while opt's median stays below basic's.
 """
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from repro.graphs import generators as gen
 C = 0.6
 EPS = 1e-3
 CAP = 500_000
+SEEDS = range(12)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +33,7 @@ def truth(gq):
 @pytest.fixture(scope="module")
 def results(gq):
     return {
-        v: exactsim(gq, 0, eps=EPS, variant=v, seed=5, max_pairs=CAP)
+        v: [exactsim(gq, 0, eps=EPS, variant=v, seed=s, max_pairs=CAP) for s in SEEDS]
         for v in ("basic", "opt")
     }
 
@@ -41,11 +45,12 @@ def test_bench_ablation_variant(benchmark, gq, truth, results, variant):
         rounds=2,
         iterations=1,
     )
-    err = np.abs(r.scores - truth).max()
-    other = "opt" if variant == "basic" else "basic"
-    err_other = np.abs(results[other].scores - truth).max()
+    median = {
+        v: float(np.median([np.abs(x.scores - truth).max() for x in runs]))
+        for v, runs in results.items()
+    }
     if variant == "opt":
-        assert err < err_other
-        assert r.pairs_simulated < results["basic"].pairs_simulated
+        assert median["opt"] < median["basic"]
+        assert r.pairs_simulated < results["basic"][0].pairs_simulated
     else:
-        assert err > err_other
+        assert median["basic"] > median["opt"]

@@ -9,7 +9,8 @@ provides:
   ``∝ π_i(k)`` (basic, Algorithm 1 line 8) and ``∝ π_i(k)²`` scaled by
   ``‖π_i‖²`` (Lemma 3 optimization).
 * :func:`estimate_D_mc` — Algorithm 2: Bernoulli "the pair never met"
-  estimator from pair-walk meeting counts.
+  estimator from pair-walk meeting counts, run over the same node batches
+  as Algorithm 3 (``walks.pair_walks.simulate_pairs``).
 * Exact oracles for small graphs: from the Power-Method matrix
   (``D(k,k) = 1 − (c Pᵀ S P)(k,k)``, the first-meeting identity) and via the
   dense linear system ``(I + A)d = 1`` with
@@ -48,9 +49,10 @@ def allocate(
 
     ``cap`` bounds the *total* allocated pairs — the scaled analog of the
     paper's 24-hour wall (DESIGN.md §4): when the theoretical budget exceeds
-    the cap, every allocation is scaled down proportionally and the caller
-    reports the effective ε.  Returns ``(nodes, counts, total, theoretical)``
-    where ``theoretical`` is the pre-cap total.
+    the cap, every allocation is scaled down proportionally, keeping one pair
+    per support node, so that the total is at most ``max(cap, |support|)``;
+    the caller reports the effective ε.  Returns ``(nodes, counts, total,
+    theoretical)`` where ``theoretical`` is the pre-cap total.
     """
     nodes = np.flatnonzero(pi > 0)
     if nodes.size == 0:
@@ -68,12 +70,15 @@ def allocate(
     else:
         raise ValueError(f"unknown allocation mode {mode!r}")
     # float64 sum: immune to int64 wrap when the theoretical budget is huge;
-    # only compared against caps / fed to effective_eps, so 2^53 precision
-    # is ample.
+    # only compared against caps and fed to the effective ε, so 2^53
+    # precision is ample.
     theoretical = int(counts.sum(dtype=np.float64))
     total = theoretical
     if cap is not None and total > cap:
-        counts = np.maximum(1, (counts * (cap / total)).astype(np.int64))
+        # Scale to what is left after the one-pair floor: the floor then adds
+        # at most |support| pairs to a sum of at most cap − |support|.
+        scale = max(0, cap - nodes.size) / total
+        counts = np.maximum(1, (counts * scale).astype(np.int64))
         total = int(counts.sum())
     return nodes, counts, total, theoretical
 
@@ -89,20 +94,24 @@ def estimate_D_mc(
 ) -> np.ndarray:
     """Algorithm 2: ``D̂(k,k)`` = fraction of √c-walk pairs that never meet.
 
-    Nodes outside ``nodes`` get ``1-c`` — they carry zero weight in the
-    backward phase because their π_i entries vanish.
-    ``engine`` (``'local'`` or ``'spark'``) picks where the walks run; both
-    consume identical seeds and thus return identical counts.
+    Every node in ``nodes`` walks its ``counts`` pairs, whatever its
+    in-degree.  Nodes outside ``nodes`` get ``1-c`` — they carry zero weight
+    in the backward phase because their π_i entries vanish.  ``engine``
+    (``'local'`` or ``'spark'``) picks where the walks run; both consume
+    identical seeds and thus return identical counts.
     """
     d_hat = np.full(graph.n, 1.0 - c)
     if nodes.size == 0:
         return d_hat
-    assignments = pair_walks.make_assignments(nodes, counts)
-    res = pair_walks.simulate_pairs(graph, assignments, c=c, seed=seed, engine=engine)
-    res = res.set_index("node")
-    met = res["met"].reindex(nodes).to_numpy(dtype=np.float64)
-    tot = res["pairs"].reindex(nodes).to_numpy(dtype=np.float64)
-    d_hat[nodes] = 1.0 - met / tot
+
+    def estimate(csr, members, r, *, rng):
+        met = pair_walks.count_meetings(
+            csr, members, r, np.zeros_like(r), c=c, rng=rng, walk=pair_walks.pair_meet_count
+        )
+        return 1.0 - met / r, np.zeros_like(r), r
+
+    stats = pair_walks.simulate_pairs(graph, nodes, counts, estimate, seed=seed, engine=engine)
+    d_hat[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
     return d_hat
 
 
@@ -148,13 +157,3 @@ def exact_diagonal_linsys(
     d = np.linalg.solve(np.eye(n) + A, np.ones(n))
     return d
 
-
-def effective_eps(n: int, total_pairs: int, c: float) -> float:
-    """Invert the budget formula: the ε actually afforded by ``total_pairs``.
-
-    Used when the cap truncates the theoretical budget (the paper's
-    infeasible-configuration regime) to report the achieved error scale.
-    """
-    if total_pairs <= 0:
-        return float("inf")
-    return math.sqrt(6.0 * math.log(max(n, 2)) / ((1 - math.sqrt(c)) ** 4 * total_pairs))

@@ -14,7 +14,9 @@ says they do:
 ``max_pairs`` is the scaled analog of the paper's 24-hour wall: when the
 theoretical budget exceeds it, allocations are scaled down and the result
 reports the *effective* ε actually afforded (``ExactSimResult.effective_eps``)
-— this is how the basic variant behaves in the ablation, exactly mirroring
+from the variant's own budget: the sampling share of ε times
+``√(theoretical/allocated pairs)``, plus opt's deterministic ε/2 share.
+This is how the basic variant behaves in the ablation, exactly mirroring
 Figure 9's regime.
 """
 from __future__ import annotations
@@ -120,9 +122,10 @@ def exactsim(
     t3 = time.perf_counter()
 
     eff = eps
-    if max_pairs is not None and theoretical > max_pairs:
-        # Budget capped: report the error scale the simulated pairs afford.
-        eff = max(eps, diagonal.effective_eps(graph.n, total, c))
+    if total < theoretical:
+        # Budget capped: the sampling share of ε (all of it for basic, the
+        # Lemma-2 half for opt) grows as √(theoretical/total) pairs.
+        eff = (eps - eps_int) + eps_int * math.sqrt(theoretical / total)
     return ExactSimResult(
         scores=scores,
         variant=variant,

@@ -20,21 +20,17 @@ deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
 (``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
 what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 
-Nodes run in batches (:func:`estimate_batch`).  A node whose level 1
-alone costs more than its budget — the first test ``meeting_head`` makes —
-keeps ``ℓ(k) = 0`` without a head call; the other nodes get one
-``meeting_head`` call each, and every tail of the batch walks in one
-multi-start ``pair_meet_count`` call with per-pair start nodes and non-stop
-prefixes, meetings counted back per node.
-
-The driver parallelizes *across batches* with ``graphs.graph.run_partitioned``
-(§3.2 "Parallelization").  Nodes sorted by ``R(k)`` are dealt round-robin
-into :data:`BATCHES` rows, but Spark's round-robin ``repartition`` reorders
-rows by hash before dealing them out, and one hub node (the source itself)
-can hold most of the work, so the tasks are not balanced (ROADMAP item 3).
+Nodes run in Algorithm 2's batches (``pair_walks.simulate_pairs``, §3.2
+"Parallelization"); :func:`estimate_batch` is the per-batch estimator.  A
+node whose level 1 alone costs more than its budget — the first test
+``meeting_head`` makes — keeps ``ℓ(k) = 0`` without a head call; the other
+nodes get one ``meeting_head`` call each, and the batch's tails walk through
+``pair_walks.count_meetings``.  One hub node (the source itself) can hold
+most of a query's work, so Spark tasks are not balanced (ROADMAP item 4).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -42,8 +38,9 @@ from typing import Tuple
 import numpy as np
 import pandas as pd
 
-from repro.graphs.graph import CSRGraph, Graph, run_partitioned
+from repro.graphs.graph import CSRGraph, Graph
 from repro.linalg import matvec as mv
+from repro.walks import pair_walks
 from repro.walks.pair_walks import pair_meet_count
 
 #: Entries below this magnitude are dropped from sparse rows/Z vectors during
@@ -127,7 +124,7 @@ def estimate_batch(
     rng: np.random.Generator,
     skip_tol: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full Algorithm 3 for a batch of nodes: heads, then every tail at once.
+    """Full Algorithm 3 for a batch of nodes: heads, then the tails.
 
     Returns ``(D̂(k,k), ℓ(k), pairs actually simulated)`` arrays aligned
     with ``nodes``; ``r`` holds the allocations ``R(k)``.  Trivial
@@ -142,9 +139,8 @@ def estimate_batch(
     ``c^{2ℓ(k)} q(1-q)/R' <= c^{ℓ(k)}/(4R(k)) <= 1/(4R(k))`` — never worse
     than Algorithm 2 at the full ``R(k)``.  This is how the paper's "reduces
     the variance by at least ``c^{ℓ(k)}``" claim turns into wall-clock
-    savings (Figure 9's 10-100×) rather than only accuracy.  All tails of
-    the batch walk in one ``pair_meet_count`` call with per-pair start
-    nodes and non-stop prefixes; the meetings are counted back per node.
+    savings (Figure 9's 10-100×) rather than only accuracy.  The batch's
+    tails walk through ``pair_walks.count_meetings``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     r = np.asarray(r, dtype=np.int64)
@@ -159,28 +155,9 @@ def estimate_batch(
         ell[i] = head.ell
     tail = (din > 1) & (c_pow[ell] > skip_tol)
     pairs = np.where(tail, np.ceil(r * c_pow[ell]), 0.0).astype(np.int64)
-    hits = pair_meet_count(
-        csr,
-        np.repeat(nodes, pairs),
-        int(pairs.sum()),
-        c=c,
-        rng=rng,
-        nonstop_steps=np.repeat(ell, pairs),
-    )
-    # Pair ids run node by node: a meeting belongs to the node whose
-    # cumulative pair count first exceeds its id.
-    met = np.bincount(np.searchsorted(np.cumsum(pairs), hits, side="right"), minlength=nodes.size)
+    met = pair_walks.count_meetings(csr, nodes, pairs, ell, c=c, rng=rng, walk=pair_meet_count)
     d_hat -= c_pow[ell] * met / np.maximum(pairs, 1)
     return d_hat, ell, pairs
-
-
-# ---------------------------------------------------------------------------
-# Distributed driver
-# ---------------------------------------------------------------------------
-
-#: Work rows of Algorithm 3.  Nodes sorted by ``R(k)`` are dealt round-robin
-#: into this many batches on both engines, so both draw the same streams.
-BATCHES = 16
 
 
 def estimate_D_local_push(
@@ -196,44 +173,12 @@ def estimate_D_local_push(
     """Estimate ``D̂`` for the given nodes with Algorithm 3.
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
-    ``(node, d_hat, ell, pairs)``.  ``engine`` (``'local'`` or ``'spark'``)
-    picks where the batches run.  Nodes are sorted by ``R(k)`` and dealt
-    round-robin into :data:`BATCHES` work rows, batch ``b`` walking the
-    stream ``np.random.default_rng([seed, b])`` (``seed >= 0``), so both
-    engines agree exactly.  On Spark the round-robin ``repartition``
-    reorders the rows by hash, so a task's share of the work is not
-    controlled (see the module docstring).
+    ``(node, d_hat, ell, pairs)``.  The batches run through
+    ``pair_walks.simulate_pairs``; ``engine`` (``'local'`` or ``'spark'``)
+    picks where, and both engines agree exactly.
     """
-    order = np.argsort(counts, kind="stable")[::-1]
-    nodes = nodes[order].astype(np.int64)
-    counts = counts[order].astype(np.int64)
-    batches = range(min(BATCHES, nodes.size))
-    work = pd.DataFrame(
-        {
-            "batch": list(batches),
-            "node": [nodes[b::BATCHES].tolist() for b in batches],
-            "r_k": [counts[b::BATCHES].tolist() for b in batches],
-        }
-    )
-
-    def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        cols = []
-        for row in pdf.itertuples(index=False):
-            members = np.asarray(row.node, dtype=np.int64)
-            rng = np.random.default_rng([seed, int(row.batch)])
-            cols.append(
-                (members, *estimate_batch(csr, members, row.r_k, c=c, rng=rng, skip_tol=skip_tol))
-            )
-        node, d_hat, ell, pairs = (np.concatenate(col) for col in zip(*cols))
-        return pd.DataFrame({"node": node, "d_hat": d_hat, "ell": ell, "pairs": pairs})
-
-    stats = (
-        run_partitioned(
-            graph, work, kernel, "node long, d_hat double, ell long, pairs long", engine
-        )
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
+    estimate = functools.partial(estimate_batch, c=c, skip_tol=skip_tol)
+    stats = pair_walks.simulate_pairs(graph, nodes, counts, estimate, seed=seed, engine=engine)
     d = np.full(graph.n, 1.0 - c)
     d[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
     return d, stats

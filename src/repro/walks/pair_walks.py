@@ -1,4 +1,4 @@
-"""√c pair-walk simulation (Algorithms 2 and 3, sampling part).
+"""√c pair-walk simulation: the sampling that Algorithms 2 and 3 share.
 
 The paper's D-estimators simulate *pairs* of √c-walks from a node ``v_k``:
 
@@ -13,20 +13,16 @@ The paper's D-estimators simulate *pairs* of √c-walks from a node ``v_k``:
 
 ``pair_meet_count`` is the vectorized numpy kernel (arrays shrink as pairs
 finish; expected √c-walk length is ``1/(1-√c) ≈ 4.4`` steps so the loop is
-short).  Given one start node it returns a meeting count; given a start
-array (one node and one non-stop prefix per pair) it walks many nodes'
-pairs at once, as the Algorithm-3 batches do, and returns the ids of the
-pairs that meet.  ``simulate_pairs`` runs it over a frame of per-node chunk
-assignments (Algorithm 2), in-process or on Spark through
-``graphs.graph.run_partitioned`` — the paper's "embarrassingly parallel"
-phase, load-balanced by chunking ``R(k)``.  Every chunk or batch walks its
-own stream, ``np.random.default_rng`` of a key such as ``[seed, node,
-chunk]``.
+short); ``count_meetings`` walks a batch of nodes' pairs through it and
+counts the meetings back per node.  Both algorithms run the same way (§3.2
+"Parallelization"): ``simulate_pairs`` deals the nodes into :data:`BATCHES`
+work rows (``make_assignments``) and runs a per-batch estimator on every
+row, in-process or on Spark through ``graphs.graph.run_partitioned``.
 """
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 import pandas as pd
@@ -37,126 +33,158 @@ from repro.graphs.graph import CSRGraph, Graph, run_partitioned
 #: c^t, so the truncation bias at 300 steps is ~1e-66 — far below ε_min.
 MAX_STEPS = 300
 
+#: Most pairs one ``pair_meet_count`` call walks: bounds a batch's walk
+#: arrays, however many pairs its nodes hold, while amortizing per-call
+#: overhead.
+CHUNK = 200_000
+
+#: Work rows of the D estimation.  Nodes sorted by ``R(k)`` are dealt
+#: round-robin into this many batches on both engines, so both draw the same
+#: streams.
+BATCHES = 16
+
 
 def pair_meet_count(
     csr: CSRGraph,
-    start: Union[int, np.ndarray],
+    start: np.ndarray,
     pairs: int,
     *,
     c: float,
     rng: np.random.Generator,
     nonstop_steps: Union[int, np.ndarray] = 0,
-) -> Union[int, np.ndarray]:
-    """Meetings among ``pairs`` simulated pairs of walks.
+) -> np.ndarray:
+    """Ids (positions in ``start``) of the pairs that meet.
 
-    With a scalar ``start`` every pair starts there and the result is the
-    number of pairs that meet.  ``nonstop_steps == 0`` gives Algorithm 2's
-    meeting count; ``nonstop_steps == ℓ0 > 0`` counts pairs that complete
-    the non-stop prefix un-met and whose √c-continuations then meet
-    (Algorithm 3 lines 22-27), and the caller scales by ``c^{ℓ0}``.
-
-    With an array ``start`` (one start node per pair, ``pairs`` long) the
-    walks of many nodes run in one call: ``nonstop_steps`` may then be one
-    prefix per pair, and the result is the ids (positions in ``start``) of
-    the pairs that meet.  Only this form tracks which pair is which.
+    Pair ``i`` starts both its walks at ``start[i]`` (``pairs`` long).
+    ``nonstop_steps`` (one prefix, or one per pair) of 0 gives Algorithm 2's
+    meetings; a prefix ``ℓ0 > 0`` counts pairs that complete the non-stop
+    prefix un-met and whose √c-continuations then meet (Algorithm 3 lines
+    22-27), and the caller scales by ``c^{ℓ0}``.
     """
-    multi = np.ndim(start) > 0
     if pairs <= 0:
-        return np.zeros(0, dtype=np.int64) if multi else 0
+        return np.zeros(0, dtype=np.int64)
     sqrt_c = math.sqrt(c)
-    if multi:
-        pos_a = np.asarray(start, dtype=np.int64)
-        nonstop = np.broadcast_to(np.asarray(nonstop_steps, dtype=np.int64), (pairs,))
-        last_nonstop = int(nonstop.max())
-        pid = np.arange(pairs)
-        hits = [np.zeros(0, dtype=np.int64)]
-    else:
-        pos_a = np.full(pairs, start, dtype=np.int64)
-        last_nonstop = nonstop_steps
+    pos_a = np.asarray(start, dtype=np.int64)
     pos_b = pos_a.copy()
-    met = 0
+    nonstop = np.broadcast_to(np.asarray(nonstop_steps, dtype=np.int64), (pairs,))
+    last_nonstop = int(nonstop.max())
+    pid = np.arange(pairs)
+    hits = [np.zeros(0, dtype=np.int64)]
     for step in range(1, MAX_STEPS + 1):
-        k = pos_a.shape[0]
+        k = pid.size
+        cont = (rng.random(k) < sqrt_c) & (rng.random(k) < sqrt_c)
+        if step <= last_nonstop:  # pairs inside their own non-stop prefix always move
+            cont |= nonstop[pid] >= step
+        cont &= (csr.din[pos_a] > 0) & (csr.din[pos_b] > 0)
+        pos_a, pos_b, pid = pos_a[cont], pos_b[cont], pid[cont]
+        k = pid.size
         if k == 0:
             break
-        cont = (csr.din[pos_a] > 0) & (csr.din[pos_b] > 0)
-        if step > last_nonstop:
-            cont &= (rng.random(k) < sqrt_c) & (rng.random(k) < sqrt_c)
-        elif multi:  # pairs still inside their own non-stop prefix always move
-            cont &= (nonstop[pid] >= step) | (
-                (rng.random(k) < sqrt_c) & (rng.random(k) < sqrt_c)
-            )
-        pos_a = pos_a[cont]
-        pos_b = pos_b[cont]
-        if multi:
-            pid = pid[cont]
-        if pos_a.shape[0] == 0:
-            break
-        da = csr.din[pos_a]
-        db = csr.din[pos_b]
-        pos_a = csr.in_neighbors[csr.in_indptr[pos_a] + rng.integers(0, da)]
-        pos_b = csr.in_neighbors[csr.in_indptr[pos_b] + rng.integers(0, db)]
+        # A uniform in-neighbour as ⌊U·d_in⌋: ``rng.integers`` with per-pair
+        # bounds re-validates them on every call and costs ~1.5× as much.
+        off_a = (rng.random(k) * csr.din[pos_a]).astype(np.int64)
+        off_b = (rng.random(k) * csr.din[pos_b]).astype(np.int64)
+        pos_a = csr.in_neighbors[csr.in_indptr[pos_a] + off_a]
+        pos_b = csr.in_neighbors[csr.in_indptr[pos_b] + off_b]
         coincide = pos_a == pos_b
         # A coincidence inside the non-stop prefix means first meeting <= ℓ0,
         # already handled deterministically: the pair is discarded (counts 0).
-        if multi:
-            counted = coincide if step > last_nonstop else coincide & (nonstop[pid] < step)
-            hits.append(pid[counted])
-        elif step > last_nonstop:
-            met += int(np.count_nonzero(coincide))
-        pos_a = pos_a[~coincide]
-        pos_b = pos_b[~coincide]
-        if multi:
-            pid = pid[~coincide]
-    return np.concatenate(hits) if multi else met
+        counted = coincide if step > last_nonstop else coincide & (nonstop[pid] < step)
+        hits.append(pid[counted])
+        pos_a, pos_b, pid = pos_a[~coincide], pos_b[~coincide], pid[~coincide]
+    return np.concatenate(hits)
+
+
+def count_meetings(
+    csr: CSRGraph,
+    nodes: np.ndarray,
+    pairs: np.ndarray,
+    nonstop: np.ndarray,
+    *,
+    c: float,
+    rng: np.random.Generator,
+    walk: Callable[..., np.ndarray],
+) -> np.ndarray:
+    """Meetings per node among ``pairs[i]`` pairs from ``nodes[i]``.
+
+    Node ``i``'s pairs walk with the non-stop prefix ``nonstop[i]``, in
+    slices of at most :data:`CHUNK` pairs, one ``walk`` (``pair_meet_count``
+    as the caller's module resolves it) call per slice; a slice takes its
+    start nodes and prefixes from its pairs' owner indices, so no array
+    spans the whole batch.
+    """
+    ends = np.cumsum(pairs)
+    total = int(ends[-1]) if ends.size else 0
+    met = np.zeros(nodes.size, dtype=np.int64)
+    for first in range(0, total, CHUNK):
+        size = min(CHUNK, total - first)
+        # A pair belongs to the node whose cumulative count first exceeds its id.
+        owner = np.searchsorted(ends, np.arange(first, first + size), side="right")
+        hits = walk(csr, nodes[owner], size, c=c, rng=rng, nonstop_steps=nonstop[owner])
+        met += np.bincount(owner[hits], minlength=nodes.size)
+    return met
 
 
 # ---------------------------------------------------------------------------
 # Distributed driver
 # ---------------------------------------------------------------------------
 
-#: Pairs per task row — small enough to balance load across cores, large
-#: enough that the numpy kernel amortizes per-row overhead.
-CHUNK = 200_000
-
 
 def make_assignments(nodes: np.ndarray, pairs: np.ndarray) -> pd.DataFrame:
-    """Chunked (node, chunk, pairs) rows for the Algorithm-2 walk stage.
+    """Work rows ``(batch, node[], r_k[])`` for the D estimation.
 
-    Node ``k``'s ``R(k)`` pairs are split into chunks of at most
-    :data:`CHUNK`, numbered ``0, 1, ...`` per node.
+    The nodes, sorted by ``R(k)`` descending, are dealt round-robin into at
+    most :data:`BATCHES` batches, so every batch gets a share of the large
+    and of the small allocations.
     """
-    rows = []
-    for k, r in zip(nodes.tolist(), pairs.tolist()):
-        for j, first in enumerate(range(0, r, CHUNK)):
-            rows.append((k, j, min(CHUNK, r - first)))
-    return pd.DataFrame(rows, columns=["node", "chunk", "pairs"])
+    order = np.argsort(pairs, kind="stable")[::-1]
+    nodes = np.asarray(nodes, dtype=np.int64)[order]
+    pairs = np.asarray(pairs, dtype=np.int64)[order]
+    batches = range(min(BATCHES, nodes.size))
+    return pd.DataFrame(
+        {
+            "batch": list(batches),
+            "node": [nodes[b::BATCHES].tolist() for b in batches],
+            "r_k": [pairs[b::BATCHES].tolist() for b in batches],
+        }
+    )
 
 
 def simulate_pairs(
-    graph: Graph, assignments: pd.DataFrame, *, c: float, seed: int, engine: str
+    graph: Graph,
+    nodes: np.ndarray,
+    counts: np.ndarray,
+    estimate: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    *,
+    seed: int,
+    engine: str,
 ) -> pd.DataFrame:
-    """Run the pair-walk kernel for every assignment row.
+    """Run a per-batch D estimator over ``nodes`` and their ``R(k)`` counts.
 
-    Returns one row per node with summed ``met``/``pairs`` counts.  Chunk
-    ``j`` of node ``k`` walks the stream ``np.random.default_rng([seed, k,
-    j])`` (``seed >= 0``): re-running a configuration replays the same walks,
-    no two chunks share a stream, and ``engine='spark'`` (rows spread over
-    the cluster with :func:`run_partitioned`) and ``engine='local'`` return
-    identical counts.
+    The nodes are dealt into batches by :func:`make_assignments`.
+    ``estimate(csr, nodes, r_k, rng=...)`` returns ``(D̂(k,k), ℓ(k), pairs
+    simulated)`` arrays aligned with the batch's ``nodes``.  The result has
+    one row per node, ``(node, d_hat, ell, pairs)``, sorted by node.  Batch
+    ``b`` walks the stream ``np.random.default_rng([seed, b])``
+    (``seed >= 0``): re-running a configuration replays the same walks, no
+    two batches share a stream, and ``engine='spark'`` (rows spread over the
+    cluster with :func:`run_partitioned`) and ``engine='local'`` return
+    identical rows.
     """
 
     def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        out = []
+        cols = []
         for row in pdf.itertuples(index=False):
-            node, pairs = int(row.node), int(row.pairs)
-            rng = np.random.default_rng([seed, node, int(row.chunk)])
-            out.append((node, pair_meet_count(csr, node, pairs, c=c, rng=rng), pairs))
-        return pd.DataFrame(out, columns=["node", "met", "pairs"])
+            members = np.asarray(row.node, dtype=np.int64)
+            r_k = np.asarray(row.r_k, dtype=np.int64)
+            rng = np.random.default_rng([seed, int(row.batch)])
+            cols.append((members, *estimate(csr, members, r_k, rng=rng)))
+        node, d_hat, ell, pairs = (np.concatenate(col) for col in zip(*cols))
+        return pd.DataFrame({"node": node, "d_hat": d_hat, "ell": ell, "pairs": pairs})
 
-    res = run_partitioned(graph, assignments, kernel, "node long, met long, pairs long", engine)
+    work = make_assignments(nodes, counts)
     return (
-        res.groupby("node", as_index=False)[["met", "pairs"]]
-        .sum()
-        .astype({"node": "int64", "met": "int64", "pairs": "int64"})
+        run_partitioned(graph, work, kernel, "node long, d_hat double, ell long, pairs long", engine)
+        .sort_values("node")
+        .reset_index(drop=True)
     )

@@ -67,12 +67,6 @@ def test_total_samples_monotone_in_eps():
     assert diagonal.total_samples(1000, 1e-3, C) > diagonal.total_samples(1000, 1e-2, C)
 
 
-def test_effective_eps_inverts_total_samples():
-    R = diagonal.total_samples(5000, 1e-3, C)
-    assert diagonal.effective_eps(5000, R, C) == pytest.approx(1e-3, rel=1e-3)
-    assert diagonal.effective_eps(5000, 0, C) == float("inf")
-
-
 def test_allocate_pi_mode_covers_support():
     pi = np.array([0.5, 0.0, 0.25, 0.25])
     nodes, counts, total, theory = diagonal.allocate(pi, 100, mode="pi")
@@ -103,8 +97,16 @@ def test_allocate_cap_scales_down_and_reports_theory():
     pi = np.full(10, 0.1)
     nodes, counts, total, theory = diagonal.allocate(pi, 10_000, mode="pi", cap=100)
     assert theory == 10_000
-    assert total <= 110  # proportional scale-down with a min of 1 per node
+    assert total <= 100  # proportional scale-down with a min of 1 per node
     assert counts.min() >= 1
+    # Ten nodes whose scaled share rounds to 0 still get their one pair, and
+    # the total stays within the cap, or at |support| when the cap is smaller.
+    pi = np.array([0.99] + [0.001] * 10)
+    _, counts, total, theory = diagonal.allocate(pi, 10_000, mode="pi", cap=100)
+    assert theory == 10_000 and counts.min() == 1
+    assert total == counts.sum() <= 100
+    _, counts, total, _ = diagonal.allocate(pi, 10_000, mode="pi", cap=5)
+    assert counts.tolist() == [1] * 11 and total == 11
 
 
 def test_allocate_empty_support():

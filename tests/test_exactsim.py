@@ -76,7 +76,32 @@ def test_effective_eps_reported_when_capped():
     g = gen.load("GQ-lite")
     r = exactsim(g, 0, eps=1e-5, variant="basic", seed=1, max_pairs=10_000)
     assert r.effective_eps > 1e-5
-    assert r.total_pairs_allocated <= 11_000
+    assert r.total_pairs_allocated <= 10_000
+
+
+@pytest.mark.parametrize("variant, sampling_share", [("basic", 1.0), ("opt", 0.5)])
+def test_effective_eps_follows_the_variants_budget(monkeypatch, variant, sampling_share):
+    """A capped query reports ε from its own variant's budget: the sampling
+    share of ε (all of it for basic, ε/2 for opt) times √(theoretical /
+    allocated pairs), plus opt's deterministic ε/2 — never the basic
+    formula applied to opt's far smaller π²-budget."""
+    from repro.core import diagonal
+
+    seen = []
+    real = diagonal.allocate
+    monkeypatch.setattr(
+        diagonal, "allocate", lambda *a, **kw: seen.append(real(*a, **kw)) or seen[-1]
+    )
+    g = gen.load("GQ-lite")
+    eps, cap = 1e-3, 20_000
+    r = exactsim(g, 0, eps=eps, variant=variant, seed=1, max_pairs=cap)
+    (_nodes, _counts, total, theory), = seen
+    assert total == r.total_pairs_allocated <= cap < theory
+    share = sampling_share * eps
+    assert r.effective_eps == pytest.approx(eps - share + share * np.sqrt(theory / total))
+    if variant == "opt":
+        basic = exactsim(g, 0, eps=eps, variant="basic", seed=1, max_pairs=cap)
+        assert eps < r.effective_eps < basic.effective_eps
 
 
 def test_effective_eps_equals_eps_when_not_capped():

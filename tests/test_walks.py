@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core import diagonal
+from repro.core.exactsim import exactsim
 from repro.graphs import generators as gen
+from repro.graphs.graph import from_edges
 from repro.walks import pair_walks, traces
 
 C = 0.6
@@ -13,8 +15,14 @@ SQC = math.sqrt(C)
 
 
 # ---------------------------------------------------------------------------
-# pair walks (Algorithm 2 kernel)
+# pair walks (the kernel of Algorithm 2 and of Algorithm 3's tails)
 # ---------------------------------------------------------------------------
+
+
+def _met(csr, node, pairs, **kw):
+    """Meetings among ``pairs`` pairs that all start at ``node``."""
+    hits = pair_walks.pair_meet_count(csr, np.full(pairs, node, dtype=np.int64), pairs, **kw)
+    return hits.size
 
 
 def test_pair_meet_cycle_probability():
@@ -23,7 +31,7 @@ def test_pair_meet_cycle_probability():
     g = gen.tiny_cycle(6)
     rng = np.random.default_rng(0)
     n = 200_000
-    met = pair_walks.pair_meet_count(g.csr, 0, n, c=C, rng=rng)
+    met = _met(g.csr, 0, n, c=C, rng=rng)
     # Binomial std ≈ 0.0011; 5σ tolerance.
     assert met / n == pytest.approx(C, abs=0.006)
 
@@ -33,14 +41,15 @@ def test_pair_meet_matches_exact_diagonal(g):
     d = diagonal.exact_diagonal(g, c=C, tol=1e-13)
     rng = np.random.default_rng(1)
     n = 150_000
-    met = pair_walks.pair_meet_count(g.csr, 0, n, c=C, rng=rng)
+    met = _met(g.csr, 0, n, c=C, rng=rng)
     assert 1 - met / n == pytest.approx(d[0], abs=0.008)
 
 
 def test_pair_meet_zero_pairs():
     g = gen.tiny_cycle(4)
     rng = np.random.default_rng(0)
-    assert pair_walks.pair_meet_count(g.csr, 0, 0, c=C, rng=rng) == 0
+    hits = pair_walks.pair_meet_count(g.csr, np.zeros(0, dtype=np.int64), 0, c=C, rng=rng)
+    assert hits.dtype == np.int64 and hits.size == 0
 
 
 def test_pair_meet_dead_end_never_meets():
@@ -49,7 +58,7 @@ def test_pair_meet_dead_end_never_meets():
     g = from_edges("dead", 2, np.array([1]), np.array([0]), directed=True)
     rng = np.random.default_rng(0)
     # Walks from node 1 cannot move (d_in = 0): no pair ever meets.
-    assert pair_walks.pair_meet_count(g.csr, 1, 10_000, c=C, rng=rng) == 0
+    assert _met(g.csr, 1, 10_000, c=C, rng=rng) == 0
 
 
 def test_nonstop_tail_on_cycle_is_zero():
@@ -58,9 +67,7 @@ def test_nonstop_tail_on_cycle_is_zero():
     matches the exact tail (first meeting always happens at step 1)."""
     g = gen.tiny_cycle(6)
     rng = np.random.default_rng(2)
-    met = pair_walks.pair_meet_count(
-        g.csr, 0, 50_000, c=C, rng=rng, nonstop_steps=2
-    )
+    met = _met(g.csr, 0, 50_000, c=C, rng=rng, nonstop_steps=2)
     assert met == 0
 
 
@@ -77,45 +84,9 @@ def test_nonstop_tail_unbiased_on_star():
     exact_tail = (1.0 - hr.z_sum) - d[0]
     rng = np.random.default_rng(3)
     n = 300_000
-    met = pair_walks.pair_meet_count(
-        g.csr, 0, n, c=C, rng=rng, nonstop_steps=ell0
-    )
+    met = _met(g.csr, 0, n, c=C, rng=rng, nonstop_steps=ell0)
     est_tail = (C**ell0) * met / n
     assert est_tail == pytest.approx(exact_tail, abs=3e-4)
-
-
-def test_make_assignments_chunks_and_determinism():
-    nodes = np.array([0, 1], dtype=np.int64)
-    pairs = np.array([pair_walks.CHUNK + 10, 5], dtype=np.int64)
-    a = pair_walks.make_assignments(nodes, pairs)
-    b = pair_walks.make_assignments(nodes, pairs)
-    assert a.equals(b)
-    assert a["pairs"].sum() == pairs.sum()
-    assert (a[a["node"] == 0]["pairs"]).tolist() == [pair_walks.CHUNK, 10]
-    # Different chunk -> different stream key (walks are not replayed).
-    assert len(a.groupby(["node", "chunk"])) == len(a)
-
-
-def test_simulate_pairs_streams_distinct_across_nodes(monkeypatch):
-    """A node split into 98 chunks and its id neighbour walk pairwise-distinct
-    streams (a seed linear in node and chunk index repeats at chunk 97).
-    The kernel's generator seeds are recorded as it builds them."""
-    g = gen.load("GQ-lite")
-    monkeypatch.setattr(pair_walks, "CHUNK", 10)
-    seeds = []
-    real = np.random.default_rng
-
-    def recording_rng(seed):
-        seeds.append(tuple(np.atleast_1d(seed).tolist()))
-        return real(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    nodes = np.array([40, 41], dtype=np.int64)
-    asg = pair_walks.make_assignments(nodes, np.full(2, 98 * 10, dtype=np.int64))
-    res = pair_walks.simulate_pairs(g, asg, c=C, seed=5, engine="local")
-    assert res["pairs"].tolist() == [980, 980]
-    assert len(seeds) == 2 * 98
-    assert len(set(seeds)) == len(seeds)
 
 
 def test_pair_meet_count_multi_start_counts_per_pair():
@@ -139,32 +110,137 @@ def test_pair_meet_count_multi_start_counts_per_pair():
     )
     met = np.bincount(hits // n, minlength=2)
     assert met / n == pytest.approx([0.75 * C, C], abs=0.008)
-    empty = pair_walks.pair_meet_count(g.csr, start[:0], 0, c=C, rng=np.random.default_rng(6))
-    assert empty.size == 0
+
+
+def _dead_ends_and_chains(groups):
+    """``a_i = 3i`` has no in-neighbour (``D = 1``: its walks never move);
+    ``b_i = 3i+1`` has the single in-neighbour ``3i+2`` (``D = 1-c``)."""
+    src = 3 * np.arange(groups) + 2
+    g = from_edges("dead-ends", 3 * groups, src, src - 1, directed=True)
+    return g, 3 * np.arange(groups), 3 * np.arange(groups) + 1
+
+
+def test_count_meetings_attributes_meetings_across_slice_boundaries(monkeypatch):
+    """Dead-end nodes alternate with one-in-neighbour nodes, and a tiny
+    ``CHUNK`` splits nodes across kernel calls: a meeting credited to the
+    wrong node shows on a dead-end node, whose pairs can never meet."""
+    monkeypatch.setattr(pair_walks, "CHUNK", 7)
+    g, a, b = _dead_ends_and_chains(200)
+    nodes = np.stack([a, b], axis=1).ravel()  # a0, b0, a1, b1, ...
+    pairs = 1 + np.arange(nodes.size) % 11
+    calls, starts = [], []
+
+    def walk(csr, start, n, **kw):
+        calls.append(n)
+        starts.append(start)
+        return pair_walks.pair_meet_count(csr, start, n, **kw)
+
+    met = pair_walks.count_meetings(
+        g.csr, nodes, pairs, np.zeros_like(nodes), c=C, rng=np.random.default_rng(3), walk=walk
+    )
+    assert max(calls) == 7 and sum(calls) == pairs.sum()
+    # Every node starts exactly its own pairs, in node order.
+    np.testing.assert_array_equal(np.concatenate(starts), np.repeat(nodes, pairs))
+    assert (met[0::2] == 0).all()
+    assert (met <= pairs).all()
+    # Pairs from b_i meet iff both walks take their first step: probability c.
+    assert met[1::2].sum() / pairs[1::2].sum() == pytest.approx(C, abs=0.05)
+    # The same through Algorithm 2's batches: D̂ is exactly 1 on dead ends.
+    d = diagonal.estimate_D_mc(g, nodes, pairs, c=C, seed=2)
+    np.testing.assert_array_equal(d[a], 1.0)
+    assert d[b].mean() == pytest.approx(1 - C, abs=0.05)
+
+
+def test_make_assignments_deals_batches_and_determinism():
+    """Nodes sorted by R(k), largest first, are dealt round-robin into at
+    most BATCHES rows: every node lands in exactly one row, the largest
+    allocations open one row each, and row sizes differ by at most one."""
+    nodes = np.arange(40, dtype=np.int64) + 100
+    pairs = (np.arange(40, dtype=np.int64) * 37) % 41 + 1  # distinct
+    a = pair_walks.make_assignments(nodes, pairs)
+    b = pair_walks.make_assignments(nodes, pairs)
+    assert a.equals(b)
+    assert a["batch"].tolist() == list(range(pair_walks.BATCHES))
+    assert sorted(np.concatenate(a["node"].tolist()).tolist()) == nodes.tolist()
+    for node, r_k in zip(a["node"], a["r_k"]):
+        assert r_k == pairs[np.asarray(node) - 100].tolist()
+        assert r_k == sorted(r_k, reverse=True)
+    firsts = sorted(r_k[0] for r_k in a["r_k"])
+    assert firsts == sorted(pairs)[-pair_walks.BATCHES:]
+    assert a["node"].map(len).tolist() == [3] * 8 + [2] * 8
+    few = pair_walks.make_assignments(nodes[:3], pairs[:3])
+    assert few["node"].map(len).tolist() == [1, 1, 1]
+
+
+def test_simulate_pairs_streams_distinct_across_batches(monkeypatch):
+    """Every batch walks its own stream ``[seed, batch]``: the generator
+    keys built while estimating D for 40 nodes are the 16 batch keys."""
+    g = gen.load("GQ-lite")
+    seeds = []
+    real = np.random.default_rng
+
+    def recording_rng(seed):
+        seeds.append(tuple(np.atleast_1d(seed).tolist()))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    nodes = np.arange(40, 80, dtype=np.int64)
+    diagonal.estimate_D_mc(g, nodes, np.full(40, 300, dtype=np.int64), c=C, seed=5)
+    assert sorted(seeds) == [(5, b) for b in range(pair_walks.BATCHES)]
 
 
 def test_simulate_pairs_local_aggregates():
+    """One stats row per node, sorted by node, from every batch's estimate."""
     g = gen.load("GQ-lite")
-    nodes = np.array([3, 3, 9], dtype=np.int64)
-    pairs = np.array([100, 50, 70], dtype=np.int64)
-    res = pair_walks.simulate_pairs(
-        g, pair_walks.make_assignments(nodes, pairs), c=C, seed=1, engine="local"
-    )
-    assert res[res["node"] == 3]["pairs"].item() == 150
-    assert res[res["node"] == 9]["pairs"].item() == 70
-    assert (res["met"] <= res["pairs"]).all()
+    nodes = np.array([9, 3, 40, 7], dtype=np.int64)
+    pairs = np.array([100, 50, 70, 5], dtype=np.int64)
+
+    def estimate(csr, members, r, *, rng):
+        return members / 100.0, members % 2, r
+
+    res = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=1, engine="local")
+    assert res["node"].tolist() == [3, 7, 9, 40]
+    assert res["pairs"].tolist() == [50, 5, 100, 70]
+    assert res["d_hat"].tolist() == [0.03, 0.07, 0.09, 0.4]
+    assert res["ell"].tolist() == [1, 1, 1, 0]
 
 
 def test_simulate_pairs_spark_matches_local(spark):
+    """One node holds more than CHUNK pairs, so its batch spans kernel calls."""
     g = gen.load("GQ-lite", spark)
     nodes = np.arange(10, dtype=np.int64)
     pairs = np.full(10, 2000, dtype=np.int64)
-    asg = pair_walks.make_assignments(nodes, pairs)
-    a = pair_walks.simulate_pairs(g, asg, c=C, seed=11, engine="local")
-    b = pair_walks.simulate_pairs(g, asg, c=C, seed=11, engine="spark")
-    a = a.sort_values("node").reset_index(drop=True)
-    b = b.sort_values("node").reset_index(drop=True).astype(a.dtypes)
-    assert a.equals(b)
+    pairs[4] = pair_walks.CHUNK + 5000
+
+    def estimate(csr, members, r, *, rng):
+        met = pair_walks.count_meetings(
+            csr, members, r, np.zeros_like(r), c=C, rng=rng, walk=pair_walks.pair_meet_count
+        )
+        return 1.0 - met / r, np.zeros_like(r), r
+
+    a = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=11, engine="local")
+    b = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=11, engine="spark")
+    assert a.equals(b.astype(a.dtypes))
+
+
+def test_traced_walk_calls_stay_within_chunk(monkeypatch):
+    """Capped GQ-lite queries: no Algorithm-2 walk call (``walks``) or
+    Algorithm-3 tail call (``tail``) walks more than CHUNK pairs, and the
+    calls add up to the pairs the query simulated."""
+    from perfbench import tracer
+
+    g = gen.load("GQ-lite")
+    tr = tracer.Tracer()
+    with tr.query(0):
+        basic = exactsim(g, 3, eps=1e-2, variant="basic", seed=1, max_pairs=1_000_000)
+    walks = [s.counts["pairs"] for s in tr.spans if s.name == "walks"]
+    assert max(walks) == pair_walks.CHUNK and sum(walks) == basic.pairs_simulated
+    # Opt's tails are short: a smaller CHUNK makes them span calls too.
+    monkeypatch.setattr(pair_walks, "CHUNK", 500)
+    with tr.query(1):
+        opt = exactsim(g, 3, eps=1e-2, variant="opt", seed=1, max_pairs=1_000_000)
+    tails = [s.counts["pairs"] for s in tr.spans if s.name == "tail"]
+    assert max(tails) == 500 and sum(tails) == opt.pairs_simulated
 
 
 # ---------------------------------------------------------------------------
