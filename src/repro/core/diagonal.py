@@ -106,7 +106,7 @@ def estimate_D_mc(
 
     def estimate(csr, members, r, *, rng):
         met = pair_walks.count_meetings(
-            csr, members, r, np.zeros_like(r), c=c, rng=rng, walk=pair_walks.pair_meet_count
+            csr, members, r, 0, c=c, rng=rng, walk=pair_walks.pair_meet_count
         )
         return 1.0 - met / r, np.zeros_like(r), r
 

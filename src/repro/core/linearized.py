@@ -18,8 +18,11 @@ per-hop work by ``O(1/ε)`` at an extra ``ε`` additive error.  PRSim-lite
 builds its index from the same pass.  ``ForwardResult`` carries exact
 stored-entry accounting for the Table-3 reproduction.
 
-The backward phase is a dense driver-side ``Pᵀ`` mat-vec per hop into which
-each stored level is scattered.
+The backward phase is one driver-side ``Pᵀ`` mat-vec per hop over a dense
+``s``, into which each stored level is scattered.  ``linalg.matvec.matvec_PT``
+pushes only the out-edges of ``s``'s support, so with the Lemma-2 threshold
+the hops above the deepest non-empty level, where ``s`` is still all zero,
+cost one ``O(n)`` scan each instead of an ``O(m)`` pass.
 """
 from __future__ import annotations
 

@@ -33,14 +33,19 @@ class CSRGraph:
     in-neighbors of node ``v`` are ``in_neighbors[in_indptr[v]:in_indptr[v+1]]``.
     A (√c-)walk step from ``v`` picks uniformly from that slice; ``din[v] == 0``
     forces the walk to stop (the paper's dead-end semantics).
+
+    The edge list is sorted by ``(src, dst)``, so it doubles as the
+    out-adjacency: the out-edges of node ``u`` are ``src``/``dst`` positions
+    ``out_indptr[u]:out_indptr[u+1]``.
     """
 
     n: int
-    src: np.ndarray  # int64 [m] — edge sources
-    dst: np.ndarray  # int64 [m] — edge destinations
+    src: np.ndarray  # int64 [m] — edge sources, sorted
+    dst: np.ndarray  # int64 [m] — edge destinations, sorted within each source
     din: np.ndarray  # int64 [n] — in-degrees
     in_indptr: np.ndarray  # int64 [n+1]
     in_neighbors: np.ndarray  # int64 [m]
+    out_indptr: np.ndarray  # int64 [n+1]
 
     @property
     def m(self) -> int:
@@ -58,10 +63,12 @@ class CSRGraph:
 
 
 def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
-    """Build the in-adjacency CSR from an edge list.
+    """Build the in-adjacency CSR and the source-sorted edge list.
 
     Edges must already be deduplicated and self-loop free; both are validated
-    because a duplicate edge silently changes transition probabilities.
+    because a duplicate edge silently changes transition probabilities.  Each
+    ``in_neighbors`` slice keeps the input order of its edges, which fixes
+    the neighbour a walk draw selects.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -71,20 +78,24 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
         raise ValueError("node id out of range")
     if np.any(src == dst):
         raise ValueError("self-loops are not allowed")
-    key = src * n + dst
-    if np.unique(key).size != key.size:
+    key = np.sort(src * n + dst)
+    if np.any(key[1:] == key[:-1]):
         raise ValueError("duplicate edges are not allowed")
     din = np.bincount(dst, minlength=n).astype(np.int64)
-    order = np.argsort(dst, kind="stable")
+    in_neighbors = src[np.argsort(dst, kind="stable")]
     in_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(din, out=in_indptr[1:])
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=out_indptr[1:])
+    src, dst = np.divmod(key, n)
     return CSRGraph(
         n=n,
         src=src,
         dst=dst,
         din=din,
         in_indptr=in_indptr,
-        in_neighbors=src[order],
+        in_neighbors=in_neighbors,
+        out_indptr=out_indptr,
     )
 
 

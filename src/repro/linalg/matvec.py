@@ -1,7 +1,9 @@
 """Sparse matrix–vector products for the (reverse) transition matrix ``P``.
 
-Dense mat-vecs are one ``np.bincount`` over the edge list (the vectors live
-in driver memory, DESIGN.md §3).  :func:`expand_sparse` is the one
+Mat-vecs take and return dense vectors (they live in driver memory,
+DESIGN.md §3) and sum with one ``np.bincount`` over edges.  :func:`matvec_PT`
+sums only the out-edges of the input's support, so the backward pass pays
+for the edges it uses, not for all ``m``.  :func:`expand_sparse` is the one
 local-push kernel: its cost scales with the pushed support, and it advances
 many sparse vectors at once through ``row·n + node`` keys.  The forward
 pass, the PRSim-lite index and Algorithm 3's ``M^t`` rows all use it.  Its
@@ -30,10 +32,25 @@ def matvec_P(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
 
 
 def matvec_PT(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
-    """``Pᵀ · v`` via one weighted bincount over the edge list."""
+    """``Pᵀ · v`` via one weighted bincount over the out-edges of ``v``'s support.
+
+    The edge list is sorted by source, so each support node's out-edges are
+    one contiguous range.  When those ranges cover at least half the edges,
+    the whole list is summed instead.  Either way every target adds its
+    terms in increasing source order and only zero terms are skipped, so
+    both give the same bits.
+    """
     if v.shape != (csr.n,):
         raise ValueError("vector length mismatch")
-    out = np.bincount(csr.dst, weights=v[csr.src], minlength=csr.n)
+    sup = np.flatnonzero(v)
+    first = csr.out_indptr[sup]
+    counts = csr.out_indptr[sup + 1] - first
+    total = int(counts.sum())
+    if 2 * total >= csr.m:
+        out = np.bincount(csr.dst, weights=v[csr.src], minlength=csr.n)
+    else:
+        edge = _ranges(first, counts)
+        out = np.bincount(csr.dst[edge], weights=np.repeat(v[sup], counts), minlength=csr.n)
     nz = csr.din > 0
     out[nz] = out[nz] / csr.din[nz]
     return out
@@ -61,14 +78,19 @@ def expand_sparse(
     keys, node, val, counts = keys[keep], node[keep], val[keep], counts[keep]
     if keys.size == 0:
         return keys, val, 0
-    total = int(counts.sum())
-    # Entry e owns in_neighbors[in_indptr[node_e] :][: counts_e]; shifting a
-    # running edge counter by each entry's offset walks all those slices.
-    shift = np.repeat(csr.in_indptr[node] - (np.cumsum(counts) - counts), counts)
-    target = np.repeat(keys - node, counts) + csr.in_neighbors[shift + np.arange(total)]
+    # Entry e owns in_neighbors[in_indptr[node_e] :][: counts_e].
+    edges = _ranges(csr.in_indptr[node], counts)
+    target = np.repeat(keys - node, counts) + csr.in_neighbors[edges]
     w = np.repeat(val / counts, counts)
     out, acc = accumulate(target, w, (int(keys.max()) // n + 1) * n, prune=prune)
-    return out, acc, total
+    return out, acc, edges.size
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``first[k] .. first[k] + counts[k] - 1``, for every ``k``
+    in order: a running counter shifted by each range's offset."""
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(shift.size)
 
 
 def accumulate(

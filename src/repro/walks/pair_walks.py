@@ -99,7 +99,7 @@ def count_meetings(
     csr: CSRGraph,
     nodes: np.ndarray,
     pairs: np.ndarray,
-    nonstop: np.ndarray,
+    nonstop: Union[int, np.ndarray],
     *,
     c: float,
     rng: np.random.Generator,
@@ -107,20 +107,26 @@ def count_meetings(
 ) -> np.ndarray:
     """Meetings per node among ``pairs[i]`` pairs from ``nodes[i]``.
 
-    Node ``i``'s pairs walk with the non-stop prefix ``nonstop[i]``, in
-    slices of at most :data:`CHUNK` pairs, one ``walk`` (``pair_meet_count``
-    as the caller's module resolves it) call per slice; a slice takes its
-    start nodes and prefixes from its pairs' owner indices, so no array
-    spans the whole batch.
+    Node ``i``'s pairs walk with the non-stop prefix ``nonstop[i]`` (or
+    ``nonstop`` itself when it is one prefix for all), in slices of at most
+    :data:`CHUNK` pairs, one ``walk`` (``pair_meet_count`` as the caller's
+    module resolves it) call per slice; a slice takes its start nodes and
+    prefixes from its pairs' owner indices, so no array spans the whole
+    batch.
     """
     ends = np.cumsum(pairs)
     total = int(ends[-1]) if ends.size else 0
     met = np.zeros(nodes.size, dtype=np.int64)
     for first in range(0, total, CHUNK):
         size = min(CHUNK, total - first)
-        # A pair belongs to the node whose cumulative count first exceeds its id.
-        owner = np.searchsorted(ends, np.arange(first, first + size), side="right")
-        hits = walk(csr, nodes[owner], size, c=c, rng=rng, nonstop_steps=nonstop[owner])
+        # The nodes owning the slice's first and last pair, and each one's
+        # share of the slice.
+        lo, hi = np.searchsorted(ends, [first, first + size - 1], side="right")
+        span = np.arange(lo, hi + 1)
+        share = np.minimum(ends[span], first + size) - np.maximum(ends[span] - pairs[span], first)
+        owner = np.repeat(span, share)
+        prefix = nonstop if np.ndim(nonstop) == 0 else nonstop[owner]
+        hits = walk(csr, nodes[owner], size, c=c, rng=rng, nonstop_steps=prefix)
         met += np.bincount(owner[hits], minlength=nodes.size)
     return met
 

@@ -26,6 +26,9 @@ def test_build_csr_rejects_self_loop():
 def test_build_csr_rejects_duplicate_edges():
     with pytest.raises(ValueError, match="duplicate"):
         build_csr(3, np.array([0, 0]), np.array([1, 1]))
+    # Apart in the input, together once the edges are sorted.
+    with pytest.raises(ValueError, match="duplicate"):
+        build_csr(3, np.array([0, 2, 1, 0]), np.array([1, 0, 2, 1]))
 
 
 def test_build_csr_rejects_out_of_range():
@@ -53,6 +56,21 @@ def test_csr_in_degree_consistency(name):
     assert csr.in_indptr[-1] == csr.m
     recomputed = np.bincount(csr.dst, minlength=csr.n)
     np.testing.assert_array_equal(csr.din, recomputed)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_csr_edges_sorted_with_out_indptr(name):
+    """The edge list is sorted by ``(src, dst)`` and ``out_indptr`` delimits
+    each source's run, while ``in_neighbors`` keeps the input edge order
+    within each target (the order walk draws index into)."""
+    n, _, src, dst = gen.REGISTRY[name]()
+    csr = build_csr(n, src, dst)
+    key = csr.src * n + csr.dst
+    assert (np.diff(key) > 0).all()
+    np.testing.assert_array_equal(np.sort(key), np.sort(np.asarray(src) * n + dst))
+    np.testing.assert_array_equal(np.diff(csr.out_indptr), np.bincount(src, minlength=n))
+    assert csr.out_indptr[0] == 0
+    np.testing.assert_array_equal(csr.in_neighbors, src[np.argsort(dst, kind="stable")])
 
 
 @pytest.mark.parametrize("name", SMALL)

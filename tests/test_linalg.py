@@ -41,6 +41,44 @@ def test_matvec_PT_matches_dense(name, seed):
     )
 
 
+def _matvec_PT_full(csr, v):
+    """``Pᵀ · v`` summed over the whole edge list: the dense reference."""
+    out = np.bincount(csr.dst, weights=v[csr.src], minlength=csr.n)
+    nz = csr.din > 0
+    out[nz] = out[nz] / csr.din[nz]
+    return out
+
+
+@pytest.mark.parametrize("name", ["GQ-lite", "DB-lite"])
+def test_matvec_PT_support_push_matches_full_sum_bitwise(name):
+    """Summing only the support's out-edges gives the same bits as the whole
+    edge list: for an empty support, one node, a node with no out-edges, and
+    supports just below and just above the half-the-edges switch.  Node 0's
+    out-edges are dropped so that the graph has a node without any."""
+    from repro.graphs.graph import build_csr
+
+    g = gen.load(name)
+    keep = g.csr.src != 0
+    csr = build_csr(g.n, g.csr.src[keep], g.csr.dst[keep])
+    rng = np.random.default_rng(4)
+    dout = np.diff(csr.out_indptr)
+    assert dout[0] == 0
+    order = rng.permutation(np.flatnonzero(dout > 0))
+    below = int(np.searchsorted(np.cumsum(dout[order]), csr.m / 2))
+    assert 2 * dout[order[:below]].sum() < csr.m <= 2 * dout[order[: below + 1]].sum()
+    supports = {
+        "empty": [],
+        "one": order[:1],
+        "no out-edges": [0],
+        "below": np.append(order[:below], 0),
+        "above": order[: below + 1],
+    }
+    for label, sup in supports.items():
+        v = np.zeros(csr.n)
+        v[np.asarray(sup, dtype=np.int64)] = rng.random(len(sup))
+        assert np.array_equal(mv.matvec_PT(csr, v), _matvec_PT_full(csr, v)), label
+
+
 def test_matvec_rejects_wrong_length():
     g = gen.tiny_cycle(4)
     with pytest.raises(ValueError, match="length"):

@@ -136,7 +136,7 @@ def test_count_meetings_attributes_meetings_across_slice_boundaries(monkeypatch)
         return pair_walks.pair_meet_count(csr, start, n, **kw)
 
     met = pair_walks.count_meetings(
-        g.csr, nodes, pairs, np.zeros_like(nodes), c=C, rng=np.random.default_rng(3), walk=walk
+        g.csr, nodes, pairs, 0, c=C, rng=np.random.default_rng(3), walk=walk
     )
     assert max(calls) == 7 and sum(calls) == pairs.sum()
     # Every node starts exactly its own pairs, in node order.
@@ -149,6 +149,28 @@ def test_count_meetings_attributes_meetings_across_slice_boundaries(monkeypatch)
     d = diagonal.estimate_D_mc(g, nodes, pairs, c=C, seed=2)
     np.testing.assert_array_equal(d[a], 1.0)
     assert d[b].mean() == pytest.approx(1 - C, abs=0.05)
+
+
+def test_count_meetings_slices_skip_zero_pair_nodes(monkeypatch):
+    """Nodes without pairs, also at slice edges, own no pair, and each pair
+    walks with its own node's prefix."""
+    monkeypatch.setattr(pair_walks, "CHUNK", 5)
+    g = gen.load("GQ-lite")
+    nodes = np.arange(30, dtype=np.int64)
+    pairs = np.array([0, 3, 0, 0, 2, 5, 0, 1, 4, 0] * 3, dtype=np.int64)
+    prefix = nodes % 4
+    starts, prefixes = [], []
+
+    def walk(csr, start, n, **kw):
+        starts.append(start)
+        prefixes.append(kw["nonstop_steps"])
+        return pair_walks.pair_meet_count(csr, start, n, **kw)
+
+    pair_walks.count_meetings(
+        g.csr, nodes, pairs, prefix, c=C, rng=np.random.default_rng(1), walk=walk
+    )
+    np.testing.assert_array_equal(np.concatenate(starts), np.repeat(nodes, pairs))
+    np.testing.assert_array_equal(np.concatenate(prefixes), np.repeat(prefix, pairs))
 
 
 def test_make_assignments_deals_batches_and_determinism():
