@@ -23,10 +23,13 @@ what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 Nodes run in Algorithm 2's batches (``pair_walks.simulate_pairs``, §3.2
 "Parallelization"); :func:`estimate_batch` is the per-batch estimator.  A
 node whose level 1 alone costs more than its budget — the first test
-``meeting_head`` makes — keeps ``ℓ(k) = 0`` without a head call; the other
-nodes get one ``meeting_head`` call each, and the batch's tails walk through
-``pair_walks.count_meetings``.  One hub node (the source itself) can hold
-most of a query's work, so Spark tasks are not balanced (ROADMAP item 4).
+``meeting_head`` makes — keeps ``ℓ(k) = 0`` without a head call.  A node
+that affords level 1 but not level 2 gets ``ℓ(k) = 1`` and its ``Z_1(k)``
+from one vectorized pass over the whole batch, with the bits
+``meeting_head`` would return; on DB-lite these are ~96% of the heads.  The
+other nodes get one ``meeting_head`` call each, and the batch's tails walk
+through ``pair_walks.count_meetings``.  One hub node (the source itself) can
+hold most of a query's work, so Spark tasks are not balanced (ROADMAP item 4).
 """
 from __future__ import annotations
 
@@ -83,6 +86,7 @@ def meeting_head(
     n = csr.n
     c_pow = np.array([c**j for j in range(max_level + 1)])
     keys = np.array([k], dtype=np.int64)
+    node = keys
     val = np.ones(1)
     birth = np.zeros(1, dtype=np.int64)  # t_r
     coef = np.full(1, -1.0)  # z_r
@@ -91,7 +95,7 @@ def meeting_head(
     ell_done = 0
     for ell in range(1, max_level + 1):
         # Cost of this level, computed before committing to it.
-        cost = int(csr.din[keys % n].sum())
+        cost = int(csr.din[node].sum())
         if edges + cost > budget_edges:
             break  # unaffordable level: ℓ(k) stays at ell-1 (0 ⇒ Algorithm 2)
         # Entries at dead ends or pruned away vanish; so do rows left empty.
@@ -99,7 +103,8 @@ def meeting_head(
         edges += actual
         # --- Lemma 4 at this level.  Each term is (-c^{ℓ-t} · M²) · z, so
         # the own row's z = -1 only flips a sign: its terms are c^ℓ · M². ---
-        rid, node = np.divmod(keys, n)
+        rid = keys // n  # np.divmod is ~6× slower than // and a multiply
+        node = keys - rid * n
         scale = -c_pow[ell - birth]
         zi, zv = mv.accumulate(node, scale[rid] * val**2 * coef[rid], n, prune=PRUNE)
         z_sum += float(zv.sum())
@@ -107,6 +112,7 @@ def meeting_head(
         # This level's first-meeting nodes start rows after all older ones.
         new_rid = coef.size + np.arange(zi.size, dtype=np.int64)
         keys = np.concatenate([keys, new_rid * n + zi])
+        node = np.concatenate([node, zi])
         val = np.concatenate([val, np.ones(zi.size)])
         birth = np.concatenate([birth, np.full(zi.size, ell, dtype=np.int64)])
         coef = np.concatenate([coef, zv])
@@ -130,7 +136,9 @@ def estimate_batch(
     with ``nodes``; ``r`` holds the allocations ``R(k)``.  Trivial
     in-degree cases short-circuit (lines 1-4).  A node whose level 1 alone
     costs more than its budget (``d_in(k) > ⌈2R(k)/√c⌉``, the first test
-    ``meeting_head`` makes) keeps ``ℓ(k) = 0`` without a head call.  If the
+    ``meeting_head`` makes) keeps ``ℓ(k) = 0`` without a head call, and one
+    that cannot afford level 2 gets ``ℓ(k) = 1`` from
+    :func:`_level_one_heads`; the rest call ``meeting_head``.  If the
     tail bound ``c^{ℓ(k)}`` is below ``skip_tol`` the sampling step is
     skipped — the estimate is then deterministic with error <= ``c^{ℓ(k)}``.
 
@@ -149,7 +157,11 @@ def estimate_batch(
     budget = np.ceil(2.0 * r / math.sqrt(c))
     d_hat = np.where(din == 1, 1.0 - c, 1.0)
     ell = np.zeros(nodes.size, dtype=np.int64)
-    for i in np.flatnonzero((din > 1) & (din <= budget)):
+    heads = np.flatnonzero((din > 1) & (din <= budget))
+    one, z1 = _level_one_heads(csr, nodes[heads], budget[heads], c=c)
+    d_hat[heads[one]] = 1.0 - z1
+    ell[heads[one]] = 1
+    for i in heads[~one]:
         head = meeting_head(csr, int(nodes[i]), c=c, budget_edges=int(budget[i]))
         d_hat[i] = 1.0 - head.z_sum
         ell[i] = head.ell
@@ -158,6 +170,33 @@ def estimate_batch(
     met = pair_walks.count_meetings(csr, nodes, pairs, ell, c=c, rng=rng, walk=pair_meet_count)
     d_hat -= c_pow[ell] * met / np.maximum(pairs, 1)
     return d_hat, ell, pairs
+
+
+def _level_one_heads(
+    csr: CSRGraph, nodes: np.ndarray, budget: np.ndarray, *, c: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Which heads ``meeting_head`` would stop at ``ℓ(k) = 1``, and their ``Z_1(k)``.
+
+    Level 1 pushes ``k``'s own row to its ``d = d_in(k)`` distinct
+    in-neighbours ``q``, each at ``M(k,q) = 1/d``, so ``Z_1(k,q) = c/d²``.
+    Level 2 then pushes that row and one new row per ``q``, at a cost of
+    ``2·Σ_q d_in(q)`` edges; where ``d`` plus that exceeds the budget, the
+    head stops at level 1.  Its ``z_sum`` is ``d`` equal terms summed by
+    ``np.sum``, built here once per degree from the same float operations,
+    so it has the same bits.  Nodes whose level-1 terms the ``PRUNE`` drop
+    would touch are left to ``meeting_head``.
+    """
+    d = csr.din[nodes]
+    q = csr.in_neighbors[mv.ranges(csr.in_indptr[nodes], d)]
+    owner = np.repeat(np.arange(nodes.size), d)
+    level2 = 2 * np.bincount(owner, weights=csr.din[q], minlength=nodes.size)
+    deg, inv = np.unique(d, return_inverse=True)
+    term = -c * (1.0 / deg) ** 2 * -1.0  # meeting_head's scale · val² · coef
+    one = (d + level2 > budget) & (term[inv] > PRUNE)
+    z1 = np.zeros(deg.size)
+    for j in np.unique(inv[one]):
+        z1[j] = np.full(deg[j], term[j]).sum()
+    return one, z1[inv[one]]
 
 
 def estimate_D_local_push(

@@ -52,9 +52,10 @@ def _matvec_PT_full(csr, v):
 @pytest.mark.parametrize("name", ["GQ-lite", "DB-lite"])
 def test_matvec_PT_support_push_matches_full_sum_bitwise(name):
     """Summing only the support's out-edges gives the same bits as the whole
-    edge list: for an empty support, one node, a node with no out-edges, and
-    supports just below and just above the half-the-edges switch.  Node 0's
-    out-edges are dropped so that the graph has a node without any."""
+    edge list: for an empty support, one node, a node with no out-edges,
+    supports just below and just above the priced switch, and a support
+    whose nodes alone price above the whole list.  Node 0's out-edges are
+    dropped so that the graph has a node without any."""
     from repro.graphs.graph import build_csr
 
     g = gen.load(name)
@@ -63,20 +64,28 @@ def test_matvec_PT_support_push_matches_full_sum_bitwise(name):
     rng = np.random.default_rng(4)
     dout = np.diff(csr.out_indptr)
     assert dout[0] == 0
-    order = rng.permutation(np.flatnonzero(dout > 0))
-    below = int(np.searchsorted(np.cumsum(dout[order]), csr.m / 2))
-    assert 2 * dout[order[:below]].sum() < csr.m <= 2 * dout[order[: below + 1]].sum()
+    order = np.append(rng.permutation(np.flatnonzero(dout > 0)), 0)
+    # Price of the support path for each prefix of ``order``.
+    price = (mv.SUPPORT_NODE_NS * np.arange(1, order.size + 1)
+             + mv.SUPPORT_EDGE_NS * np.cumsum(dout[order]))
+    full = mv.FULL_EDGE_NS * csr.m
+    below = int(np.searchsorted(price, full))  # order[:below] prices below
+    assert price[below - 1] < full <= price[below]
+    assert mv.SUPPORT_NODE_NS * csr.n >= full  # a dense support skips the lookups
     supports = {
         "empty": [],
         "one": order[:1],
         "no out-edges": [0],
-        "below": np.append(order[:below], 0),
+        "below": np.append(order[: below - 1], 0),
         "above": order[: below + 1],
+        "dense": np.arange(csr.n),
     }
     for label, sup in supports.items():
         v = np.zeros(csr.n)
         v[np.asarray(sup, dtype=np.int64)] = rng.random(len(sup))
-        assert np.array_equal(mv.matvec_PT(csr, v), _matvec_PT_full(csr, v)), label
+        out = mv.matvec_PT(csr, v)
+        assert out.dtype == np.float64, label
+        assert np.array_equal(out, _matvec_PT_full(csr, v)), label
 
 
 def test_matvec_rejects_wrong_length():
@@ -135,16 +144,18 @@ def test_expand_sparse_equals_matvec(name):
 
 def test_expand_sparse_accumulators_agree():
     """Pushed as row 0 the GQ-lite vector takes the bincount side (m >= n);
-    as row 10 the key span 11·n exceeds m and it takes the np.unique side."""
+    pushed together with a copy in row 20 the key span 21·n exceeds the 2m
+    terms and it takes the sort side."""
     g = gen.load("GQ-lite")
-    assert g.n <= g.m < 11 * g.n
+    assert g.n <= g.m and 2 * g.m < 21 * g.n
     nodes = np.arange(g.n, dtype=np.int64)
     val = np.random.default_rng(3).random(g.n)
     k0, v0, e0 = mv.expand_sparse(g.csr, nodes, val)
-    k10, v10, e10 = mv.expand_sparse(g.csr, 10 * g.n + nodes, val)
-    np.testing.assert_array_equal(k10, 10 * g.n + k0)
-    np.testing.assert_array_equal(v10, v0)
-    assert e0 == e10 == g.m
+    keys = np.concatenate([nodes, 20 * g.n + nodes])
+    k2, v2, e2 = mv.expand_sparse(g.csr, keys, np.concatenate([val, val]))
+    np.testing.assert_array_equal(k2, np.concatenate([k0, 20 * g.n + k0]))
+    np.testing.assert_array_equal(v2, np.concatenate([v0, v0]))
+    assert e0 == g.m and e2 == 2 * g.m
 
 
 def test_expand_sparse_packed_rows_match_per_row():
@@ -167,6 +178,102 @@ def test_expand_sparse_packed_rows_match_per_row():
         np.testing.assert_array_equal(node[row == r], si)
         np.testing.assert_array_equal(bv[row == r], sv)
     assert total == expected_total
+
+
+def _rows_with_dead_ends(name):
+    """``name``'s CSR with nodes 0-2 made dead ends, and 40 packed rows of
+    random entries in ascending row order: rows 0-2 and 9 empty, row 5
+    holding every node (so larger than any test block), row 39 only the dead
+    ends, values spread over ten decades."""
+    from repro.graphs.graph import build_csr
+
+    g = gen.load(name)
+    keep = g.csr.dst > 2
+    csr = build_csr(g.n, g.csr.src[keep], g.csr.dst[keep])
+    rng = np.random.default_rng(11)
+    keys = []
+    for r in range(3, 40):
+        if r == 9:
+            continue
+        if r == 5:
+            idx = np.arange(g.n)
+        elif r == 39:
+            idx = np.arange(3)
+        else:
+            idx = np.sort(rng.choice(g.n, size=int(rng.integers(1, 40)), replace=False))
+            idx[0] = r % 3  # a dead end in every row
+        keys.append(r * g.n + idx)
+    keys = np.concatenate(keys).astype(np.int64)
+    val = 10.0 ** rng.uniform(-10, 0, keys.size)
+    return csr, keys, val
+
+
+@pytest.mark.parametrize("name", ["GQ-lite", "DB-lite"])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_expand_sparse_blocks_match_one_block(monkeypatch, name, block):
+    """Small blocks give the same keys, bits and edge count as one block
+    over the whole input: rows larger than a block, dead-end entries,
+    entries dropped by the prune, and an empty input."""
+    csr, keys, val = _rows_with_dead_ends(name)
+    whole = mv.expand_sparse(csr, keys, val)
+    prune = float(np.median(np.abs(whole[1])))
+    assert csr.m > 64  # row 5 pushes every edge
+    cases = [(keys, val, 0.0), (keys, val, prune), (keys[:0], val[:0], 0.0)]
+    monkeypatch.setattr(mv, "BLOCK", 1 << 40)
+    want = [mv.expand_sparse(csr, k, v, prune=p) for k, v, p in cases]
+    assert 0 < want[1][0].size < want[0][0].size  # the prune dropped entries
+    monkeypatch.setattr(mv, "BLOCK", block)
+    for (k, v, p), (wk, wv, we) in zip(cases, want):
+        gk, gv, ge = mv.expand_sparse(csr, k, v, prune=p)
+        np.testing.assert_array_equal(gk, wk)
+        assert np.array_equal(gv, wv) and ge == we
+    assert want[2][0].size == 0 and want[2][2] == 0
+
+
+def test_expand_sparse_rejects_descending_rows(monkeypatch):
+    g = gen.load("GQ-lite")
+    monkeypatch.setattr(mv, "BLOCK", 1)
+    keys = np.array([2 * g.n + 5, 7], dtype=np.int64)
+    with pytest.raises(ValueError, match="ascending"):
+        mv.expand_sparse(g.csr, keys, np.ones(2))
+
+
+def _accumulate_unique(keys, w, prune):
+    """The ``np.unique`` reference for :func:`mv.accumulate`'s sort side."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    acc = np.bincount(inv, weights=w, minlength=uniq.size)
+    keep = np.abs(acc) > prune
+    return uniq[keep], acc[keep]
+
+
+def test_accumulate_packed_sort_matches_unique(monkeypatch):
+    """The packed sort returns ``np.unique``'s keys and bits: duplicate-heavy
+    keys with terms of mixed sign and magnitude, the prune drop, exactly
+    ``SMALL_SORT`` terms, and a span at the packing limit.  Fewer terms, or
+    a span past the limit, take ``np.unique`` itself."""
+    rng = np.random.default_rng(6)
+    size = 5000
+    dup = rng.integers(0, 300, size) * 1_000_003  # ~17 terms per key
+    w = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 3, size)
+    b = (size - 1).bit_length()
+    limit = 1 << (63 - b)  # the widest span the packing takes
+    wide = rng.integers(limit - 10**6, limit, size)
+    prune = float(np.median(np.abs(_accumulate_unique(dup, w, 0.0)[1])))
+    small = mv.SMALL_SORT
+    packed = [(dup, 1 << 40, 0.0), (dup, 1 << 40, prune), (dup[:small], 1 << 40, 0.0),
+              (wide, limit, 0.0)]
+    unique = [(dup[:1], 1 << 40, 0.0), (dup[: small - 1], 1 << 40, prune),
+              (wide, 2 * limit, 0.0)]
+    want = [_accumulate_unique(k, w[: k.size], p) for k, _, p in packed + unique]
+    assert want[1][0].size < want[0][0].size
+    calls = []
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for (k, span, p), (wk, wv) in zip(packed + unique, want):
+        gk, gv = mv.accumulate(k, w[: k.size], span, prune=p)
+        np.testing.assert_array_equal(gk, wk)
+        assert np.array_equal(gv, wv)
+    assert len(calls) == len(unique)
 
 
 def test_expand_sparse_prunes():

@@ -203,6 +203,78 @@ def test_estimate_batch_matches_per_node_heads(name):
             assert (ell[exact_budget & (din > 1)] >= 1).all()
 
 
+def _level_two_cost(csr, nodes):
+    """``d_in(k) + 2·Σ_{q ∈ I(k)} d_in(q)``: the edges a head spends by the end of level 2."""
+    return np.array([csr.din[k] + 2 * csr.din[csr.in_neigh(k)].sum() for k in nodes])
+
+
+@pytest.mark.parametrize("name", ["GQ-lite", "DB-lite"])
+def test_estimate_batch_bulk_level_one_matches_meeting_head(monkeypatch, name):
+    """Heads settled at ℓ(k) = 1 without a ``meeting_head`` call give the
+    same ``(D̂, ℓ, pairs)`` bits as a batch that calls ``meeting_head`` for
+    every head.  Budgets sit one edge below, at and one edge above the
+    level-2 cost, and at random sizes."""
+    g = gen.load(name)
+    rng = np.random.default_rng(9)
+    nodes = np.sort(rng.choice(g.n, size=min(g.n, 600), replace=False)).astype(np.int64)
+    cost2 = _level_two_cost(g.csr, nodes)
+    # The smallest R(k) whose budget ⌈2R/√c⌉ reaches a target edge count.
+    def r_for(edges):
+        r = np.floor(edges * math.sqrt(C) / 2.0).astype(np.int64)
+        while True:
+            short = np.ceil(2.0 * r / math.sqrt(C)) < edges
+            if not short.any():
+                return r
+            r += short
+    r = np.where(nodes % 4 == 0, r_for(cost2 - 1), r_for(cost2))
+    r = np.where(nodes % 4 == 1, r_for(cost2 + 1), r)
+    r = np.where(nodes % 4 == 3, rng.integers(0, 3000, nodes.size), r)
+    budget = np.ceil(2.0 * r / math.sqrt(C))
+    heads = (g.csr.din[nodes] > 1) & (g.csr.din[nodes] <= budget)
+    below = heads & (budget < cost2)
+    assert np.count_nonzero(below) > 50 and np.count_nonzero(heads & ~below) > 50
+    assert np.count_nonzero(heads & (budget == cost2)) > 20
+
+    calls = []
+    real = local_push.meeting_head
+    def counted(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+    monkeypatch.setattr(local_push, "meeting_head", counted)
+    got = local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(3),
+                                    skip_tol=1e-4)
+    assert len(calls) == np.count_nonzero(heads & ~below)
+    monkeypatch.setattr(local_push, "_level_one_heads",
+                        lambda csr, nodes, budget, c: (np.zeros(nodes.size, bool), np.zeros(0)))
+    want = local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(3),
+                                     skip_tol=1e-4)
+    assert len(calls) == np.count_nonzero(heads) + np.count_nonzero(heads & ~below)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    np.testing.assert_array_equal(got[1][below], 1)
+    assert (got[1][heads & ~below] >= 2).all()
+
+
+def test_level_one_heads_leave_pruned_terms_to_meeting_head():
+    """With ``c`` so small that ``c/d²`` falls below ``PRUNE`` for ``d > 12``,
+    only the heads with ``d <= 12`` are settled in bulk, with the bits of
+    ``meeting_head``'s ``z_sum``; for the others the prune leaves
+    ``meeting_head`` a zero level-1 sum."""
+    g = gen.load("GQ-lite")
+    c = 1.5e-13
+    nodes = np.flatnonzero(g.csr.din > 1).astype(np.int64)
+    d = g.csr.din[nodes]
+    assert (d <= 12).any() and (d > 12).any()
+    budget = d.astype(np.float64)  # level 1 affordable, level 2 not
+    one, z1 = local_push._level_one_heads(g.csr, nodes, budget, c=c)
+    np.testing.assert_array_equal(one, d <= 12)
+    heads = [local_push.meeting_head(g.csr, int(k), c=c, budget_edges=int(b))
+             for k, b in zip(nodes, budget)]
+    assert all(h.ell == 1 for h in heads)
+    assert np.array_equal(z1, [h.z_sum for h, o in zip(heads, one) if o])
+    assert all(h.z_sum == 0.0 for h, o in zip(heads, one) if not o)
+
+
 def test_estimate_batch_counts_meetings_to_their_own_node():
     """Batch of alternating node kinds.  ``k`` has two dead-end
     in-neighbours: its head is exact (``D = 1 - c/2``) and its tail walks can
