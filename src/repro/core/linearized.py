@@ -10,11 +10,12 @@ and a *backward* phase (lines 9-13).  Setting ``L = ⌈log_{1/c}(2/ε)⌉`` boun
 the truncation error by ``c^L <= ε/2``.
 
 Each forward hop is one ``linalg.matvec.expand_sparse`` local push from the
-previous hop's support, stored as an ``(idx, val)`` pair.  Without a
-threshold (basic ExactSim, ParSim, Linearization) the vectors fill up, which
-is the ``O(n log 1/ε)`` memory of the basic variant; the optimized variant
-drops entries ``<= (1-√c)²ε`` after each hop (Lemma 2), bounding storage and
-per-hop work by ``O(1/ε)`` at an extra ``ε`` additive error.  PRSim-lite
+previous hop's support, stored as an ``(idx, val)`` pair; once the Lemma-2
+threshold empties a hop, the remaining hops are stored empty, unpushed.
+Without a threshold (basic ExactSim, ParSim, Linearization) the vectors fill
+up, which is the ``O(n log 1/ε)`` memory of the basic variant; the optimized
+variant drops entries ``<= (1-√c)²ε`` after each hop (Lemma 2), bounding
+storage and per-hop work by ``O(1/ε)`` at an extra ``ε`` additive error.  PRSim-lite
 builds its index from the same pass.  ``ForwardResult`` carries exact
 stored-entry accounting for the Table-3 reproduction.
 
@@ -81,7 +82,8 @@ def forward(
 
     ``threshold > 0`` applies the Lemma-2 sparsification after every hop:
     entries ``<= threshold`` are dropped *before* being stored or propagated,
-    which is what bounds both the space and the downstream work.
+    which is what bounds both the space and the downstream work.  Once it
+    empties a hop, the remaining hops are stored empty without a push.
     """
     sqrt_c = math.sqrt(c)
     idx = np.array([source], dtype=np.int64)
@@ -90,7 +92,10 @@ def forward(
     pi = np.zeros(csr.n)
     pi[idx] = val
     edges = 0
-    for _ in range(L):
+    for hop in range(L):
+        if not idx.size:  # the threshold emptied the frontier: so are the rest
+            levels += [(idx, val)] * (L - hop)
+            break
         idx, val, cost = mv.expand_sparse(csr, idx, val)
         val = sqrt_c * val
         keep = val > threshold

@@ -10,8 +10,11 @@ compute the head ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` *exactly* via the Lemma-4 recursi
 meet]`` with the non-stop pair walks from ``walks.pair_walks``.  The head
 keeps one packed row set: every live ``M^t(q',·)`` row is a run of
 ``row·n + node`` keys, its birth level and its coefficient ``Z_t(k,q')`` sit
-in two per-row arrays, and a level is one ``linalg.matvec.expand_sparse``
-push plus one accumulation of ``Z_ℓ`` over all rows.
+in two per-row arrays, and a level is one push of all rows
+(``linalg.matvec.push_blocks``) whose cache-sized blocks are folded into
+``Z_ℓ`` and into the next level as they come.  The next level stops being
+stored as soon as its cost is out of budget, so the last level a head
+pushes is never held whole.
 
 ``ℓ(k)`` is chosen adaptively: expansion stops once the traversed-edge
 counter ``E_k`` exceeds ``2R(k)/√c`` — the expected edge cost of simulating
@@ -76,47 +79,89 @@ def meeting_head(
     ``q ∈ supp Z_t`` with ``z = Z_t(k,q)``.  Lemma 4 is then one sum over
     rows, ``Z_ℓ(k,·) = Σ_r -c^{ℓ-t_r} z_r M^{ℓ-t_r}(q_r,·)²``.  All live
     entries sit under ``r·n + node`` keys with ``r`` in birth order, so a
-    level is one ``expand_sparse`` push and one accumulation whatever the
-    row count, and each ``Z_ℓ(k,q)`` adds its terms in birth order.  The
-    traversal cost of a level is known *before* paying it (sum of in-degrees
-    over all row entries), so the budget check aborts a level without
-    partial work, mirroring Algorithm 3's ``E_k`` counter at level
-    granularity.
+    level is one push of all rows, whatever their number, and each
+    ``Z_ℓ(k,q)`` adds its terms in birth order.  The traversal cost of a
+    level is known *before* paying it (sum of in-degrees over all row
+    entries), so the budget check aborts a level without partial work,
+    mirroring Algorithm 3's ``E_k`` counter at level granularity.
+
+    A level is streamed through ``expand_sparse``'s cache-sized blocks
+    (``linalg.matvec.push_blocks``): each block's Lemma-4 terms go straight
+    into ``Z_ℓ``, and its entries are kept for the next level, which is
+    joined only once the level has ended and the next one is affordable.
+    A level of at least ``n`` pushed edges sums ``Z_ℓ`` into a dense vector
+    with ``np.add.at``, a smaller one collects its terms for one
+    ``accumulate``; both add each node's terms in input order, as one
+    ``accumulate`` over the whole level would.  The next level's cost grows
+    block by block, and once it is out of budget the level stops storing
+    entries: the loop stops after this level anyway, and the rest of the
+    level only adds its ``Z_ℓ`` terms.
     """
     n = csr.n
     c_pow = np.array([c**j for j in range(max_level + 1)])
     keys = np.array([k], dtype=np.int64)
-    node = keys
     val = np.ones(1)
     birth = np.zeros(1, dtype=np.int64)  # t_r
     coef = np.full(1, -1.0)  # z_r
+    cost = int(csr.din[k])  # edges the next level pushes
     z_sum = 0.0
     edges = 0
     ell_done = 0
     for ell in range(1, max_level + 1):
-        # Cost of this level, computed before committing to it.
-        cost = int(csr.din[node].sum())
         if edges + cost > budget_edges:
             break  # unaffordable level: ℓ(k) stays at ell-1 (0 ⇒ Algorithm 2)
-        # Entries at dead ends or pruned away vanish; so do rows left empty.
-        keys, val, actual = mv.expand_sparse(csr, keys, val, prune=PRUNE)
-        edges += actual
-        # --- Lemma 4 at this level.  Each term is (-c^{ℓ-t} · M²) · z, so
-        # the own row's z = -1 only flips a sign: its terms are c^ℓ · M². ---
-        rid = keys // n  # np.divmod is ~6× slower than // and a multiply
-        node = keys - rid * n
+        edges += cost
+        # Edges the next level may cost; no next level once they run out.
+        room = budget_edges - edges
+        store = ell < max_level and c**ell >= PRUNE
+        next_cost = 0
+        kept_keys, kept_val = [], []
+        dense = cost >= n
+        if dense:
+            z = np.zeros(n)
+        else:
+            z_node, z_term = [keys[:0]], [val[:0]]
         scale = -c_pow[ell - birth]
-        zi, zv = mv.accumulate(node, scale[rid] * val**2 * coef[rid], n, prune=PRUNE)
+        # Entries at dead ends or pruned away vanish; so do rows left empty.
+        for bkeys, bval, _ in mv.push_blocks(csr, keys, val, prune=PRUNE):
+            # Lemma 4: each term is (-c^{ℓ-t} · M²) · z, so the own row's
+            # z = -1 only flips a sign: its terms are c^ℓ · M².
+            rid = bkeys // n  # np.divmod is ~6× slower than // and a multiply
+            node = bkeys - rid * n
+            term = scale[rid] * bval**2 * coef[rid]
+            if dense:
+                np.add.at(z, node, term)
+            else:
+                z_node.append(node)
+                z_term.append(term)
+            if store:
+                next_cost += int(csr.din[node].sum())
+                store = next_cost <= room
+                if store:
+                    kept_keys.append(bkeys)
+                    kept_val.append(bval)
+        if dense:
+            zi = np.flatnonzero(np.abs(z) > PRUNE)
+            zv = z[zi]
+        else:
+            zi, zv = mv.accumulate(
+                np.concatenate(z_node), np.concatenate(z_term), n, prune=PRUNE
+            )
         z_sum += float(zv.sum())
         ell_done = ell
+        if not store:
+            break
         # This level's first-meeting nodes start rows after all older ones.
+        next_cost += int(csr.din[zi].sum())
+        if next_cost > room:
+            break
         new_rid = coef.size + np.arange(zi.size, dtype=np.int64)
-        keys = np.concatenate([keys, new_rid * n + zi])
-        node = np.concatenate([node, zi])
-        val = np.concatenate([val, np.ones(zi.size)])
+        keys = np.concatenate([*kept_keys, new_rid * n + zi])
+        val = np.concatenate([*kept_val, np.ones(zi.size)])
         birth = np.concatenate([birth, np.full(zi.size, ell, dtype=np.int64)])
         coef = np.concatenate([coef, zv])
-        if c**ell < PRUNE or not keys.size:
+        cost = next_cost
+        if not keys.size:
             break
     return HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
 

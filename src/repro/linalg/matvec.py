@@ -4,15 +4,16 @@ Mat-vecs take and return dense vectors (they live in driver memory,
 DESIGN.md §3) and sum with one ``np.bincount`` over edges.  :func:`matvec_PT`
 sums only the out-edges of the input's support when its measured price says
 that beats the whole edge list, so the backward pass pays for the edges it
-uses, not for all ``m``.  :func:`expand_sparse` is the one local-push
+uses, not for all ``m``.  :func:`push_blocks` is the one local-push
 kernel: its cost scales with the pushed support, and it advances many sparse
 vectors at once through ``row·n + node`` keys, in cache-sized blocks of
-whole rows.  The forward pass, the PRSim-lite index and Algorithm 3's
-``M^t`` rows all use it.  Its sums go through :func:`accumulate` (a dense
-bincount, or a sort: one packed ``np.sort`` for many terms, ``np.unique``
-for few), which Algorithm 3's ``Z_ℓ`` also uses.
-Every path adds each sum's terms in input order, so blocks, sort and switch
-never change a bit of a result.
+whole rows that it yields one by one.  :func:`expand_sparse` concatenates
+them; the forward pass and the PRSim-lite index use it, and Algorithm 3's
+``M^t`` rows consume the blocks as they come.  Its sums go through
+:func:`accumulate` (a dense bincount, or a sort: one packed ``np.sort`` for
+many terms, ``np.unique`` for few), which Algorithm 3's small ``Z_ℓ`` levels
+also use.  Every path adds each sum's terms in input order, so blocks, sort
+and switch never change a bit of a result.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -22,11 +23,13 @@ Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.graphs.graph import CSRGraph
 
-#: Pushed edges per block in :func:`expand_sparse`: a block's targets,
+#: Pushed edges per block in :func:`push_blocks`: a block's targets,
 #: weights and sort keys (8 bytes each per edge) stay within a core's L2.
 BLOCK = 1 << 16
 
@@ -42,6 +45,14 @@ SMALL_SORT = 1024
 FULL_EDGE_NS = 6
 SUPPORT_NODE_NS = 40
 SUPPORT_EDGE_NS = 14
+
+#: A support of more than ``n / DENSE_SUPPORT`` nodes counts its out-edges
+#: over the whole ``v != 0`` mask (~2 ns per node) before it gathers its
+#: ranges, so that where the whole list wins (dense vectors on graphs of
+#: average out-degree above ~6.7, such as IT-lite) nothing is gathered.  On
+#: DB- and IT-lite the count and the gathers cost the same at an eighth of
+#: the nodes; below that the gathers cost less.
+DENSE_SUPPORT = 8
 
 
 def matvec_P(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
@@ -61,17 +72,22 @@ def matvec_PT(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
     :data:`SUPPORT_NODE_NS` per support node and :data:`SUPPORT_EDGE_NS` per
     support edge; when that exceeds :data:`FULL_EDGE_NS` per edge of the
     whole list, the whole list is summed instead.  A support whose nodes
-    alone cost more skips the range lookups.  Either way every target adds
-    its terms in increasing source order and only zero terms are skipped,
-    so both give the same bits.
+    alone cost more skips the range lookups, and a dense one (see
+    :data:`DENSE_SUPPORT`) prices its edges from out-degrees before it
+    gathers.  Either way every target adds its terms in increasing source
+    order and only zero terms are skipped, so both give the same bits.
     """
     if v.shape != (csr.n,):
         raise ValueError("vector length mismatch")
     nz = v != 0
+    nnz = int(np.count_nonzero(nz))
     full_ns = FULL_EDGE_NS * csr.m
-    nodes_ns = SUPPORT_NODE_NS * int(np.count_nonzero(nz))
+    nodes_ns = SUPPORT_NODE_NS * nnz
     out = None
-    if nodes_ns < full_ns:
+    if nodes_ns < full_ns and (
+        DENSE_SUPPORT * nnz <= csr.n
+        or nodes_ns + SUPPORT_EDGE_NS * int(np.diff(csr.out_indptr) @ nz) < full_ns
+    ):
         sup = np.flatnonzero(nz)
         first = csr.out_indptr[sup]
         counts = csr.out_indptr[sup + 1] - first
@@ -97,48 +113,65 @@ def expand_sparse(
     BFS (where the same operation realizes ``M^t`` rows, since ``P = Mᵀ``
     for the walk transition ``M``).  Entries landing at ``|value| <= prune``
     are dropped.  Returns ``(keys, values, edges_traversed)`` with the keys
-    sorted; the traversal count feeds the adaptive budgets.
+    sorted; the traversal count feeds the adaptive budgets.  It is the
+    concatenation of :func:`push_blocks`' blocks.
+    """
+    blocks = list(push_blocks(csr, keys, val, prune=prune))
+    if not blocks:
+        return keys[:0], val[:0], 0
+    if len(blocks) == 1:
+        return blocks[0]
+    out, acc, edges = zip(*blocks)
+    return np.concatenate(out), np.concatenate(acc), sum(edges)
 
-    A push of more than :data:`BLOCK` edges runs in blocks of whole rows,
-    about ``BLOCK`` edges each and keyed from the block's first row, whose
-    temporaries stay in cache.  Its rows must come in ascending order, each
-    row's entries together: then a row never spans two blocks, each key
-    still adds its terms in input order, and the blocks' sorted outputs
-    concatenate into a sorted result.
+
+def push_blocks(
+    csr: CSRGraph, keys: np.ndarray, val: np.ndarray, *, prune: float = 0.0
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """:func:`expand_sparse`'s push, one block of whole rows at a time.
+
+    Yields each block's ``(keys, values, edges_traversed)``, keys sorted;
+    a caller that folds its own work into the blocks (Algorithm 3's
+    ``Z_ℓ``) never holds the whole output.  A push of more than
+    :data:`BLOCK` edges runs in blocks of whole rows, about ``BLOCK`` edges
+    each and keyed from the block's first row, whose temporaries stay in
+    cache.  Its rows must come in ascending order, each row's entries
+    together: then a row never spans two blocks, each key still adds its
+    terms in input order, and the blocks come out in key order.  Entries at
+    dead ends push nothing; a push with no edges yields no block.
     """
     n = csr.n
     node = keys % n
     counts = csr.din[node]
-    keep = counts > 0  # mass at a dead end vanishes
-    keys, node, val, counts = keys[keep], node[keep], val[keep], counts[keep]
+    if not counts.all():  # mass at a dead end vanishes
+        keep = counts > 0
+        keys, node, val, counts = keys[keep], node[keep], val[keep], counts[keep]
     if keys.size == 0:
-        return keys, val, 0
+        return
     base = keys - node  # row·n
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
     if total <= BLOCK:
-        out, acc = _push(csr, base, node, val, counts, prune)
-        return out, acc, total
+        yield *_push(csr, base, node, val, counts, prune), total
+        return
     starts = np.flatnonzero(base[1:] != base[:-1]) + 1
     if np.any(base[starts] < base[starts - 1]):
         raise ValueError("rows must come in ascending order")
     # Cut before the first row starting past each multiple of BLOCK edges.
-    ends = np.cumsum(counts)
     cuts = starts[np.flatnonzero(np.diff(ends[starts - 1] // BLOCK, prepend=0))]
     bounds = [0, *cuts.tolist(), keys.size]
-    out, acc = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         first = base[lo]
         k, a = _push(csr, base[lo:hi] - first, node[lo:hi], val[lo:hi], counts[lo:hi], prune)
-        out.append(k + first)
-        acc.append(a)
-    return np.concatenate(out), np.concatenate(acc), total
+        k += first
+        yield k, a, int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
 
 
 def _push(
     csr: CSRGraph, base: np.ndarray, node: np.ndarray, val: np.ndarray, counts: np.ndarray,
     prune: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One block of :func:`expand_sparse`; ``base`` holds each entry's ``row·n``."""
+    """One block of :func:`push_blocks`; ``base`` holds each entry's ``row·n``."""
     # Entry e owns in_neighbors[in_indptr[node_e] :][: counts_e].
     edges = ranges(csr.in_indptr[node], counts)
     target = np.repeat(base, counts) + csr.in_neighbors[edges]

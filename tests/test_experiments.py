@@ -113,6 +113,9 @@ def test_table3_rows_shape():
     assert r["basic_mb"] > r["exactsim_mb"]
     assert r["reduction"] > 1.5
     assert r["paper_reduction"] > 4
+    # The measured peak holds every stored entry and the dense π vector.
+    n = gen.load("DB-lite").n
+    assert r["exactsim_traced_mb"] >= r["exactsim_mb"] + 8 * n / 1e6
 
 
 def test_ablation_rows_shape():

@@ -49,13 +49,29 @@ def _matvec_PT_full(csr, v):
     return out
 
 
-@pytest.mark.parametrize("name", ["GQ-lite", "DB-lite"])
+class _GatherSpy(np.ndarray):
+    """An index array that counts the gathers made from it."""
+
+    gathers = 0
+
+    def __getitem__(self, idx):
+        if isinstance(idx, np.ndarray):
+            _GatherSpy.gathers += 1
+        return super().__getitem__(idx)
+
+
+@pytest.mark.parametrize("name", ["GQ-lite", "DB-lite", "IT-lite"])
 def test_matvec_PT_support_push_matches_full_sum_bitwise(name):
     """Summing only the support's out-edges gives the same bits as the whole
     edge list: for an empty support, one node, a node with no out-edges,
-    supports just below and just above the priced switch, and a support
-    whose nodes alone price above the whole list.  Node 0's out-edges are
-    dropped so that the graph has a node without any."""
+    supports just below and just above the priced switch, and a dense
+    support.  The dense one gathers no out-edge range: on GQ- and DB-lite
+    its nodes alone price above the whole list, and on IT-lite (average
+    out-degree 27.5) its edges are counted from the out-degrees first.
+    Node 0's out-edges are dropped so that the graph has a node without
+    any."""
+    from dataclasses import replace
+
     from repro.graphs.graph import build_csr
 
     g = gen.load(name)
@@ -71,7 +87,8 @@ def test_matvec_PT_support_push_matches_full_sum_bitwise(name):
     full = mv.FULL_EDGE_NS * csr.m
     below = int(np.searchsorted(price, full))  # order[:below] prices below
     assert price[below - 1] < full <= price[below]
-    assert mv.SUPPORT_NODE_NS * csr.n >= full  # a dense support skips the lookups
+    # Whether a dense support's nodes alone price above the whole list.
+    assert (mv.SUPPORT_NODE_NS * csr.n >= full) == (name != "IT-lite")
     supports = {
         "empty": [],
         "one": order[:1],
@@ -80,12 +97,16 @@ def test_matvec_PT_support_push_matches_full_sum_bitwise(name):
         "above": order[: below + 1],
         "dense": np.arange(csr.n),
     }
+    spied = replace(csr, out_indptr=csr.out_indptr.view(_GatherSpy))
     for label, sup in supports.items():
         v = np.zeros(csr.n)
         v[np.asarray(sup, dtype=np.int64)] = rng.random(len(sup))
-        out = mv.matvec_PT(csr, v)
-        assert out.dtype == np.float64, label
+        _GatherSpy.gathers = 0
+        out = mv.matvec_PT(spied, v)
+        assert type(out) is np.ndarray and out.dtype == np.float64, label
         assert np.array_equal(out, _matvec_PT_full(csr, v)), label
+        if label in ("one", "below", "dense"):
+            assert (_GatherSpy.gathers == 0) == (label == "dense"), label
 
 
 def test_matvec_rejects_wrong_length():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import linearized
+from repro.linalg import matvec as mv
 from tests.helpers import exact_d, power_truth
 from repro.graphs import generators as gen
 
@@ -141,3 +142,44 @@ def test_forward_threshold_matches_dense_reference():
     assert fwd.stored_entries == stored
     assert fwd.edges == edges
     np.testing.assert_allclose(fwd.pi, total, rtol=0, atol=1e-12)
+
+
+def _forward_every_hop(csr, source, *, c, L, threshold):
+    """The forward pass pushing on every one of its ``L`` hops, empty or not."""
+    sqrt_c = math.sqrt(c)
+    idx, val = np.array([source], dtype=np.int64), np.array([1.0 - sqrt_c])
+    levels, pi, edges = [(idx, val)], np.zeros(csr.n), 0
+    pi[idx] = val
+    for _ in range(L):
+        idx, val, cost = mv.expand_sparse(csr, idx, val)
+        val = sqrt_c * val
+        keep = val > threshold
+        idx, val = idx[keep], val[keep]
+        levels.append((idx, val))
+        pi[idx] += val
+        edges += cost
+    return levels, pi, edges
+
+
+def test_forward_stops_pushing_an_empty_frontier(monkeypatch):
+    """At ε = 0.1 the Lemma-2 threshold empties IT-lite source 0's frontier
+    after three hops: the forward pass pushes three times, not L = 6, and
+    its result equals, bit for bit and dtype for dtype, a pass that pushes
+    on every hop."""
+    g = gen.load("IT-lite")
+    L = linearized.iterations_for(0.1, C)
+    thr = linearized.sparse_threshold(0.1, C)
+    want_levels, want_pi, want_edges = _forward_every_hop(g.csr, 0, c=C, L=L, threshold=thr)
+    sizes = [idx.size for idx, _ in want_levels]
+    assert L == 6 and sizes[3:] == [0] * 4 and min(sizes[:3]) > 0
+    pushes = []
+    real = mv.expand_sparse
+    monkeypatch.setattr(mv, "expand_sparse", lambda *a, **kw: pushes.append(1) or real(*a, **kw))
+    fwd = linearized.forward(g.csr, 0, c=C, L=L, threshold=thr)
+    assert len(pushes) == 3
+    assert len(fwd.levels) == L + 1
+    for (idx, val), (w_idx, w_val) in zip(fwd.levels, want_levels):
+        assert idx.dtype == w_idx.dtype and val.dtype == w_val.dtype
+        assert np.array_equal(idx, w_idx) and np.array_equal(val, w_val)
+    assert np.array_equal(fwd.pi, want_pi)
+    assert (fwd.stored_entries, fwd.edges, fwd.threshold) == (sum(sizes), want_edges, thr)

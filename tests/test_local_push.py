@@ -8,6 +8,7 @@ from repro.core import diagonal, local_push
 from tests.helpers import exact_d
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
+from repro.linalg import matvec as mv
 
 C = 0.6
 TINY = [gen.tiny_cycle(4), gen.tiny_star(3), gen.tiny_star(5)]
@@ -119,6 +120,158 @@ def test_z_recursion_vs_brute_force_paths():
         frontier = nxt
     hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**7, max_level=T)
     assert hr.z_sum == pytest.approx(first.sum(), abs=1e-9)
+
+
+def _whole_level_head(csr, k, *, c, budget_edges, max_level=local_push.MAX_LEVEL):
+    """The Lemma-4 loop before levels were streamed: each level is built
+    whole by one ``expand_sparse`` push and summed by one ``accumulate``."""
+    n = csr.n
+    c_pow = np.array([c**j for j in range(max_level + 1)])
+    keys = np.array([k], dtype=np.int64)
+    node = keys
+    val = np.ones(1)
+    birth = np.zeros(1, dtype=np.int64)
+    coef = np.full(1, -1.0)
+    z_sum, edges, ell_done = 0.0, 0, 0
+    for ell in range(1, max_level + 1):
+        cost = int(csr.din[node].sum())
+        if edges + cost > budget_edges:
+            break
+        keys, val, actual = mv.expand_sparse(csr, keys, val, prune=local_push.PRUNE)
+        edges += actual
+        rid = keys // n
+        node = keys - rid * n
+        scale = -c_pow[ell - birth]
+        zi, zv = mv.accumulate(node, scale[rid] * val**2 * coef[rid], n,
+                               prune=local_push.PRUNE)
+        z_sum += float(zv.sum())
+        ell_done = ell
+        new_rid = coef.size + np.arange(zi.size, dtype=np.int64)
+        keys = np.concatenate([keys, new_rid * n + zi])
+        node = np.concatenate([node, zi])
+        val = np.concatenate([val, np.ones(zi.size)])
+        birth = np.concatenate([birth, np.full(zi.size, ell, dtype=np.int64)])
+        coef = np.concatenate([coef, zv])
+        if c**ell < local_push.PRUNE or not keys.size:
+            break
+    return local_push.HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
+
+
+def _head_graph(name):
+    """``name``'s CSR; for ``GQ-dead`` GQ-lite with nodes 0-4 stripped of
+    their in-edges, so that heads carry dead-end entries; for ``tiny`` a
+    directed 6-cycle, where every ``Z_ℓ`` past level 1 is empty (a level
+    costs exactly what its pushed entries do), next to a node whose
+    in-neighbours are all dead ends (its head runs out of entries)."""
+    from repro.graphs.graph import build_csr
+
+    if name == "tiny":
+        # A 6-cycle, and leaves 6-8 pointing at 9.
+        src = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8])
+        return from_edges("tiny", 10, src, np.array([1, 2, 3, 4, 5, 0, 9, 9, 9]),
+                          directed=True).csr
+    if name != "GQ-dead":
+        return gen.load(name).csr
+    csr = gen.load("GQ-lite").csr
+    keep = csr.dst > 4
+    return build_csr(csr.n, csr.src[keep], csr.dst[keep])
+
+
+def _boundary_budgets(csr, k, levels):
+    """Budgets one edge below, at and one edge above the edges a head
+    spends through each of its first ``levels`` levels."""
+    out = []
+    for ell in range(1, levels + 1):
+        spent = _whole_level_head(csr, k, c=C, budget_edges=10**12, max_level=ell).edges
+        out += [spent - 1, spent, spent + 1]
+    return out
+
+
+def _spy_pushes(monkeypatch):
+    """Record the edges of every ``push_blocks`` call ``meeting_head`` makes."""
+    real, pushed = mv.push_blocks, []
+
+    def spy(*a, **kw):
+        total = 0
+        for block in real(*a, **kw):
+            total += block[2]
+            yield block
+        pushed.append(total)
+
+    monkeypatch.setattr(mv, "push_blocks", spy)
+    return pushed
+
+
+@pytest.mark.parametrize("name", ["GQ-lite", "GQ-dead", "DB-lite", "tiny"])
+def test_meeting_head_streamed_matches_whole_levels(monkeypatch, name):
+    """The streamed head returns the ``HeadResult`` of the whole-level loop
+    for 200 random (node, budget) cases and, for up to 10 nodes, budgets one
+    edge below, at and one edge above each level's spend, so the next
+    level's storage cut falls on both sides of the budget break.  Levels on
+    both ``Z_ℓ`` paths (at least ``n`` pushed edges, and fewer) occur, but
+    on ``tiny`` only the small one."""
+    csr = _head_graph(name)
+    rng = np.random.default_rng(21)
+    heads = np.flatnonzero(csr.din > 0)
+    cases = [(int(k), int(b)) for k, b in zip(
+        rng.choice(heads, 200), np.exp(rng.uniform(0, math.log(4e5), 200)))]
+    for k in rng.choice(heads, min(10, heads.size), replace=False):
+        cases += [(int(k), b) for b in _boundary_budgets(csr, int(k), 4)]
+    pushed = _spy_pushes(monkeypatch)
+    for k, budget in cases:
+        got = local_push.meeting_head(csr, k, c=C, budget_edges=budget)
+        assert got == _whole_level_head(csr, k, c=C, budget_edges=budget), (k, budget)
+    pushed = np.array(pushed)
+    assert (pushed < csr.n).any()
+    assert (pushed >= csr.n).any() or name == "tiny"  # its rows hold one node each
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_meeting_head_streamed_across_small_blocks(monkeypatch, block):
+    """With ``BLOCK`` at 7 or 64 edges every level spans many blocks, and the
+    storage cut can fall inside a level; the heads still equal the
+    whole-level loop's at the default block size.  On HP-lite, 64-edge
+    blocks hold several small rows that reach the same node on the dense
+    ``Z_ℓ`` path, where a per-block sum would change bits."""
+    rng = np.random.default_rng(5)
+    cases = []
+    csr = _head_graph("GQ-dead")
+    for k in rng.choice(np.flatnonzero(csr.din > 1), 8, replace=False):
+        budgets = _boundary_budgets(csr, int(k), 3)
+        cases += [(csr, int(k), b) for b in budgets + list(rng.integers(1, budgets[-1], 4))]
+    hp = _head_graph("HP-lite")
+    cases += [(hp, int(k), int(b)) for k in np.random.default_rng(1).choice(hp.n, 10, replace=False)
+              for b in [1e4, 3e4, 1e5, 3e5]]
+    want = [_whole_level_head(g, k, c=C, budget_edges=b) for g, k, b in cases]
+    monkeypatch.setattr(mv, "BLOCK", block)
+    pushed = _spy_pushes(monkeypatch)
+    got = [local_push.meeting_head(g, k, c=C, budget_edges=b) for g, k, b in cases]
+    assert got == want
+    assert max(pushed) > 20 * block
+
+
+def test_meeting_head_memory_stays_below_its_last_level():
+    """The benchmark panel's heaviest DB-lite head (node 23086 at the budget
+    a db-opt-local query gives it) pushes 11.8M edges at its last level,
+    ℓ = 7.  Its tracemalloc peak stays below 8 bytes per edge of that level,
+    at that budget and at one that ends exactly after level 7, where not
+    one entry of level 8 is stored.  The whole-level loop holds several
+    arrays of that level's size (~35 bytes per edge)."""
+    import tracemalloc
+
+    csr = gen.load("DB-lite").csr
+    k, budget = 23086, 20_453_171
+    for b in [budget, 13_528_136]:
+        tracemalloc.start()
+        try:
+            head = local_push.meeting_head(csr, k, c=C, budget_edges=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (head.ell, head.edges) == (7, 13_528_136)
+        last = head.edges - _whole_level_head(csr, k, c=C, budget_edges=b, max_level=6).edges
+        assert last >= 1_000_000
+        assert peak < 8 * last, (b, peak / last)
 
 
 # ---------------------------------------------------------------------------
