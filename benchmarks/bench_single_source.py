@@ -79,7 +79,7 @@ def test_bench_prsim_query(benchmark, gq, truth):
 
 
 def test_bench_exactsim_spark_walks(benchmark, spark, truth):
-    """The distributed walk engine end to end (mapInPandas + broadcast)."""
+    """The distributed walk engine end to end (one RDD job + broadcast)."""
     g = gen.load("GQ-lite", spark)
     r = benchmark.pedantic(
         lambda: exactsim(

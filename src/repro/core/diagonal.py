@@ -101,8 +101,6 @@ def estimate_D_mc(
     identical seeds and thus return identical counts.
     """
     d_hat = np.full(graph.n, 1.0 - c)
-    if nodes.size == 0:
-        return d_hat
 
     def estimate(csr, members, r, *, rng):
         met = pair_walks.count_meetings(

@@ -72,10 +72,11 @@ def exactsim(
 ) -> ExactSimResult:
     """Answer a single-source SimRank query with additive error ``<= eps`` whp.
 
-    ``walk_engine`` selects where the D estimation runs (``'spark'`` spreads
-    it over the cluster with ``graphs.graph.run_partitioned``, ``'local'``
-    runs it in-process — identical seeds, identical output).  The mat-vec
-    phases run on the driver (DESIGN.md §3 layering).
+    ``walk_engine`` selects where the D estimation runs (``'spark'`` runs
+    its batches as one RDD job of one task per core with
+    ``graphs.graph.run_partitioned``, ``'local'`` runs them in-process —
+    identical seeds, identical output).  The mat-vec phases run on the
+    driver (DESIGN.md §3 layering).
     """
     if variant not in ("basic", "opt"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -32,7 +32,9 @@ from one vectorized pass over the whole batch, with the bits
 ``meeting_head`` would return; on DB-lite these are ~96% of the heads.  The
 other nodes get one ``meeting_head`` call each, and the batch's tails walk
 through ``pair_walks.count_meetings``.  One hub node (the source itself) can
-hold most of a query's work, so Spark tasks are not balanced (ROADMAP item 4).
+hold most of a query's work: on Spark its batch (batch 0, the largest
+``R(k)``) shares a task only with batches ``par, 2·par, …``, and that task
+sets the phase's time.
 """
 from __future__ import annotations
 

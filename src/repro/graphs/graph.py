@@ -169,33 +169,35 @@ def run_partitioned(
     graph: Graph,
     work: pd.DataFrame,
     kernel: Callable[[CSRGraph, pd.DataFrame], pd.DataFrame],
-    schema: str,
     engine: str,
 ) -> pd.DataFrame:
     """Apply a per-row ``kernel(csr, rows) -> frame`` to every row of ``work``.
 
     ``engine='local'`` calls the kernel once in-process.  ``engine='spark'``
-    spreads the rows round-robin over ``max(2, defaultParallelism)``
-    partitions, runs the kernel on each Arrow batch against the broadcast CSR
-    graph (``schema`` is its output schema) and collects the result — the
-    paper's parallelization of the D estimation (§3.2).  Row order in the
-    result is unspecified; a kernel that draws random numbers must seed them
-    per row so both engines return the same rows.
+    deals the rows round-robin into ``par = max(2, defaultParallelism)``
+    groups (at most one per row) and runs them as one RDD job of ``par``
+    tasks: row ``i`` lands in partition ``i % par``, where the kernel runs on
+    it against the broadcast CSR graph.  The kernel frames come back pickled,
+    dtypes included, and are concatenated — the paper's parallelization of
+    the D estimation (§3.2).  An empty ``work`` frame runs no job: the kernel
+    gets it in-process.  Row order in the result is unspecified; a kernel
+    that draws random numbers must seed them per row so both engines return
+    the same rows.
     """
     if engine == "local":
         return kernel(graph.csr, work)
     if engine != "spark":
         raise ValueError(f"unknown engine {engine!r}")
+    if work.empty:
+        return kernel(graph.csr, work)
     bc = graph.broadcast_csr()
-    spark = graph.spark
-    # Plain round-robin: hash placement of a column like ``rank % par`` can
-    # send two values to one partition and leave a core idle.
-    wdf = spark.createDataFrame(work).repartition(
-        max(2, spark.sparkContext.defaultParallelism)
-    )
-    return wdf.mapInPandas(
-        lambda batches: (kernel(bc.value, pdf) for pdf in batches), schema=schema
-    ).toPandas()
+    sc = graph.spark.sparkContext
+    # One task per core: each Python task holds a core for a fixed start-up
+    # cost, so one task per row would queue most rows behind that cost.
+    par = min(max(2, sc.defaultParallelism), len(work))
+    groups = [work.iloc[i::par] for i in range(par)]
+    frames = sc.parallelize(groups, par).map(lambda rows: kernel(bc.value, rows)).collect()
+    return pd.concat(frames, ignore_index=True)
 
 
 def from_edges(

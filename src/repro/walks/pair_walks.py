@@ -43,6 +43,9 @@ CHUNK = 200_000
 #: streams.
 BATCHES = 16
 
+#: Columns of :func:`simulate_pairs`' result, one row per node.
+STATS_DTYPES = {"node": np.int64, "d_hat": np.float64, "ell": np.int64, "pairs": np.int64}
+
 
 def pair_meet_count(
     csr: CSRGraph,
@@ -170,7 +173,8 @@ def simulate_pairs(
     The nodes are dealt into batches by :func:`make_assignments`.
     ``estimate(csr, nodes, r_k, rng=...)`` returns ``(D̂(k,k), ℓ(k), pairs
     simulated)`` arrays aligned with the batch's ``nodes``.  The result has
-    one row per node, ``(node, d_hat, ell, pairs)``, sorted by node.  Batch
+    one row per node, ``(node, d_hat, ell, pairs)`` with the dtypes of
+    :data:`STATS_DTYPES`, sorted by node (empty for no nodes).  Batch
     ``b`` walks the stream ``np.random.default_rng([seed, b])``
     (``seed >= 0``): re-running a configuration replays the same walks, no
     two batches share a stream, and ``engine='spark'`` (rows spread over the
@@ -179,18 +183,16 @@ def simulate_pairs(
     """
 
     def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        cols = []
+        # Each column starts with an empty array of its dtype, so a kernel
+        # given no rows returns an empty frame with the same dtypes.
+        cols = [[np.zeros(0, dtype)] for dtype in STATS_DTYPES.values()]
         for row in pdf.itertuples(index=False):
             members = np.asarray(row.node, dtype=np.int64)
             r_k = np.asarray(row.r_k, dtype=np.int64)
             rng = np.random.default_rng([seed, int(row.batch)])
-            cols.append((members, *estimate(csr, members, r_k, rng=rng)))
-        node, d_hat, ell, pairs = (np.concatenate(col) for col in zip(*cols))
-        return pd.DataFrame({"node": node, "d_hat": d_hat, "ell": ell, "pairs": pairs})
+            for col, values in zip(cols, (members, *estimate(csr, members, r_k, rng=rng))):
+                col.append(values)
+        return pd.DataFrame({name: np.concatenate(col) for name, col in zip(STATS_DTYPES, cols)})
 
     work = make_assignments(nodes, counts)
-    return (
-        run_partitioned(graph, work, kernel, "node long, d_hat double, ell long, pairs long", engine)
-        .sort_values("node")
-        .reset_index(drop=True)
-    )
+    return run_partitioned(graph, work, kernel, engine).sort_values("node").reset_index(drop=True)

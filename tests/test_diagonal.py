@@ -150,6 +150,14 @@ def test_estimate_D_mc_deterministic_in_seed():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_estimate_D_mc_no_nodes(spark, engine):
+    g = gen.load("GQ-lite", spark)
+    empty = np.zeros(0, dtype=np.int64)
+    d_hat = diagonal.estimate_D_mc(g, empty, empty, c=C, seed=1, engine=engine)
+    np.testing.assert_array_equal(d_hat, np.full(g.n, 1 - C))
+
+
 def test_estimate_D_mc_spark_engine_matches_local(spark):
     g = gen.load("GQ-lite", spark)
     nodes = np.arange(30, dtype=np.int64)

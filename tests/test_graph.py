@@ -1,5 +1,7 @@
 """Graph substrate: CSR construction, transition matrix, Spark/oracle parity,
 the local/Spark per-row executor."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -192,15 +194,37 @@ def _degree_kernel(csr, pdf: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _group_jobs(sc, group: str) -> list:
+    """Task count of every stage of every job run under ``group``, once the
+    status store (fed asynchronously by Spark's listener bus) reports each
+    job finished."""
+    tracker = sc.statusTracker()
+    deadline = time.monotonic() + 30
+    while True:
+        jobs = [tracker.getJobInfo(j) for j in sorted(tracker.getJobIdsForGroup(group))]
+        done = jobs and all(j is not None and j.status == "SUCCEEDED" for j in jobs)
+        if done or time.monotonic() > deadline:
+            return [[tracker.getStageInfo(s).numTasks for s in j.stageIds] for j in jobs]
+        time.sleep(0.05)
+
+
 def test_run_partitioned_engines_agree_and_fill_every_partition(spark):
     g = gen.load("GQ-lite", spark)
     work = pd.DataFrame({"node": np.arange(40, dtype=np.int64)})
-    schema = "node long, din long, part int"
-    local = run_partitioned(g, work, _degree_kernel, schema, "local")
-    dist = run_partitioned(g, work, _degree_kernel, schema, "spark")
+    local = run_partitioned(g, work, _degree_kernel, "local")
+    sc = spark.sparkContext
+    sc.setJobGroup("run_partitioned", "one call")
+    try:
+        dist = run_partitioned(g, work, _degree_kernel, "spark")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
     cols = ["node", "din"]
     a = local[cols].sort_values("node").reset_index(drop=True)
     b = dist[cols].sort_values("node").reset_index(drop=True)
     assert a.equals(b)
-    par = max(2, spark.sparkContext.defaultParallelism)
+    assert dist.dtypes.equals(local.dtypes)
+    par = max(2, sc.defaultParallelism)
     assert sorted(dist["part"].unique()) == list(range(par))
+    # Row i holds node i and is dealt to partition i % par.
+    assert (dist["part"] == dist["node"] % par).all()
+    assert _group_jobs(sc, "run_partitioned") == [[par]]

@@ -508,3 +508,21 @@ def test_estimate_D_local_push_spark_matches_local(spark):
     np.testing.assert_array_equal(d_a, d_b)
     assert st_a.equals(st_b)
 
+
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_estimate_D_local_push_no_nodes(spark, monkeypatch, engine):
+    """An empty node set gives the default ``1-c`` everywhere and an empty,
+    typed stats frame; Spark runs no job for it."""
+    g = gen.load("GQ-lite", spark)
+
+    def no_job(*args, **kwargs):
+        raise AssertionError("parallelize called without work rows")
+
+    monkeypatch.setattr(spark.sparkContext, "parallelize", no_job)
+    empty = np.zeros(0, dtype=np.int64)
+    d, stats = local_push.estimate_D_local_push(g, empty, empty, c=C, seed=1, engine=engine)
+    np.testing.assert_array_equal(d, np.full(g.n, 1 - C))
+    assert len(stats) == 0
+    assert stats.dtypes.to_dict() == {
+        "node": np.int64, "d_hat": np.float64, "ell": np.int64, "pairs": np.int64
+    }
