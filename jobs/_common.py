@@ -1,36 +1,16 @@
-"""Shared spark-submit plumbing for the experiment jobs.
+"""Shared plumbing for the experiment jobs.
 
-Each job module exposes ``run(spark) -> list`` and can be launched with
-``spark-submit jobs/<name>.py`` or plain ``python jobs/<name>.py`` (the
-builder falls back to a local session with the same settings as conftest).
-Rows are printed and also appended to ``results/<job>.txt`` so EXPERIMENTS.md
-can be assembled from the captured outputs.
+Each job module exposes ``run() -> list`` and is launched with
+``python jobs/<name>.py``.  Every query runs in-process: the jobs start no
+SparkSession.  Rows are printed and also written to ``results/<job>.txt`` so
+EXPERIMENTS.md can be assembled from the captured outputs.
 """
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-def get_spark():
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
-        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
-        "pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    return (
-        SparkSession.builder.appName("repro-job")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
 
 
 class Tee:
@@ -52,8 +32,4 @@ class Tee:
 
 def main(job: str, run):
     sys.stdout = Tee(job)
-    spark = get_spark()
-    try:
-        run(spark)
-    finally:
-        spark.stop()
+    run()

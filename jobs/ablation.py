@@ -12,13 +12,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import main  # noqa: E402
 
 
-def run(spark):
+def run():
     from repro.experiments import harness, tables
     from repro.graphs import generators as gen
 
     all_rows = []
     for dataset, cap in [("GQ-lite", 2_000_000), ("DB-lite", 2_000_000)]:
-        g = gen.load(dataset, spark)
+        g = gen.load(dataset)
         sources = harness.pick_sources(g, 2)
         if dataset in gen.SMALL_DATASETS:
             truth = harness.ground_truth_small(g, sources)

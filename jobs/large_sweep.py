@@ -14,7 +14,7 @@ EPS_TRUTH = 1e-6
 TRUTH_CAP = 20_000_000
 
 
-def run(spark):
+def run():
     from repro.experiments import harness
     from repro.graphs import generators as gen
 
@@ -32,7 +32,7 @@ def run(spark):
     )
     all_rows = []
     for name in gen.LARGE_DATASETS:
-        g = gen.load(name, spark)
+        g = gen.load(name)
         sources = harness.pick_sources(g, 2)
         print(
             f"== {name}: ExactSim(eps={EPS_TRUTH:.0e}) ground truth ==",

@@ -1,4 +1,4 @@
-"""Run every experiment job in sequence (one shared local SparkSession).
+"""Run every experiment job in sequence, in one process.
 
 Outputs land in results/<job>.txt; EXPERIMENTS.md records them next to the
 paper's numbers.
@@ -24,18 +24,16 @@ JOBS = [
 ]
 
 if __name__ == "__main__":
-    spark = _common.get_spark()
     orig_stdout = sys.stdout
     try:
         for name, fn in JOBS:
             sys.stdout = _common.Tee(name)
             t0 = time.time()
             print(f"### job {name} start")
-            fn(spark)
+            fn()
             print(f"### job {name} done in {time.time() - t0:.1f}s")
             sys.stdout.f.close()
             sys.stdout = orig_stdout
             print(f"[run_all] {name} finished in {time.time() - t0:.1f}s", flush=True)
     finally:
         sys.stdout = orig_stdout
-        spark.stop()

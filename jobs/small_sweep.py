@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import main  # noqa: E402
 
 
-def run(spark):
+def run():
     from repro.experiments import harness
     from repro.graphs import generators as gen
 
@@ -29,7 +29,7 @@ def run(spark):
     )
     all_rows = []
     for name in gen.SMALL_DATASETS:
-        g = gen.load(name, spark)
+        g = gen.load(name)
         sources = harness.pick_sources(g, 3)
         print(f"== {name}: computing Power-Method ground truth ==", flush=True)
         truth = harness.ground_truth_small(g, sources)

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import main  # noqa: E402
 
 
-def run(spark):
+def run():
     from repro.experiments import tables
 
     print("== Table 2: datasets (ours vs paper) ==")

@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _common import main  # noqa: E402
 
 
-def run(spark):
+def run():
     from repro.experiments import tables
 
     print("== Table 3: memory overhead on large-lite graphs (eps_mem=1e-5) ==")

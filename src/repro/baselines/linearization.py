@@ -53,7 +53,6 @@ def preprocess(
     c: float = 0.6,
     seed: int = 0,
     max_pairs: Optional[int] = None,
-    walk_engine: str = "local",
 ) -> LinearizationIndex:
     """Estimate every ``D(k,k)`` to ε accuracy by pair-walk sampling."""
     r_node = samples_per_node(graph.n, eps)
@@ -66,9 +65,7 @@ def preprocess(
     t0 = time.perf_counter()
     nodes = np.arange(graph.n, dtype=np.int64)
     counts = np.full(graph.n, r_node, dtype=np.int64)
-    d_hat = diagonal.estimate_D_mc(
-        graph, nodes, counts, c=c, seed=seed, engine=walk_engine
-    )
+    d_hat = diagonal.estimate_D_mc(graph, nodes, counts, c=c, seed=seed)
     return LinearizationIndex(
         d_hat=d_hat,
         eps=eps,

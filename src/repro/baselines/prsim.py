@@ -86,7 +86,6 @@ def preprocess(
     max_entries: Optional[int] = None,
     max_pairs: Optional[int] = None,
     max_push_edges: Optional[int] = None,
-    walk_engine: str = "local",
 ) -> PRSimIndex:
     """Build the truncated ℓ-hop PPR index for every node + estimate D̂.
 
@@ -106,9 +105,7 @@ def preprocess(
     nodes, counts, total, _theory = diagonal.allocate(
         pi_avg, R, mode="pi", cap=max_pairs
     )
-    d_hat = diagonal.estimate_D_mc(
-        graph, nodes, counts, c=c, seed=seed, engine=walk_engine
-    )
+    d_hat = diagonal.estimate_D_mc(graph, nodes, counts, c=c, seed=seed)
 
     # --- the vectors index. ---
     frames = []

@@ -9,7 +9,7 @@ says they do:
 * ``variant='opt'`` — internal error split ε → ε/2 (Lemma 2), sparse forward
   vectors with threshold ``(1-√c)²(ε/2)``, allocation ``∝ π_i(k)²`` scaled by
   ``‖π_i‖²`` (Lemma 3), ``D̂`` from Algorithm 3 (local deterministic
-  exploitation + sampled tail, with the deterministic-tail skip rule).
+  exploitation + sampled tail).
 
 ``max_pairs`` is the scaled analog of the paper's 24-hour wall: when the
 theoretical budget exceeds it, allocations are scaled down and the result
@@ -86,6 +86,10 @@ def exactsim(
         raise ValueError(f"c must be in (0, 1), got {c!r}")
     if not (0 <= source < graph.n):
         raise ValueError("source out of range")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"max_pairs must be >= 1, got {max_pairs!r}")
     csr = graph.csr
     eps_int = eps / 2.0 if variant == "opt" else eps  # Lemma-2 error split
     L = linearized.iterations_for(eps_int, c)
@@ -106,15 +110,8 @@ def exactsim(
         )
         pairs_sim = int(counts.sum())
     else:
-        skip_tol = eps_int * (1.0 - math.sqrt(c)) ** 2 / 4.0
         d_hat, stats = local_push.estimate_D_local_push(
-            graph,
-            nodes,
-            counts,
-            c=c,
-            seed=seed,
-            skip_tol=skip_tol,
-            engine=walk_engine,
+            graph, nodes, counts, c=c, seed=seed, engine=walk_engine
         )
         pairs_sim = int(stats["pairs"].sum())
     t2 = time.perf_counter()

@@ -18,10 +18,8 @@ pushes is never held whole.
 
 ``ℓ(k)`` is chosen adaptively: expansion stops once the traversed-edge
 counter ``E_k`` exceeds ``2R(k)/√c`` — the expected edge cost of simulating
-the ``R(k)`` pairs — exactly Algorithm 3's budget rule.  Because the tail is
-deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
-(``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
-what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
+the ``R(k)`` pairs — exactly Algorithm 3's budget rule.  Every node with
+``d_in(k) > 1`` then walks its ``⌈R(k)·c^{ℓ(k)}⌉`` tail pairs.
 
 Nodes run in Algorithm 2's batches (``pair_walks.simulate_pairs``, §3.2
 "Parallelization"); :func:`estimate_batch` is the per-batch estimator.  A
@@ -175,7 +173,6 @@ def estimate_batch(
     *,
     c: float,
     rng: np.random.Generator,
-    skip_tol: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full Algorithm 3 for a batch of nodes: heads, then the tails.
 
@@ -185,9 +182,7 @@ def estimate_batch(
     costs more than its budget (``d_in(k) > ⌈2R(k)/√c⌉``, the first test
     ``meeting_head`` makes) keeps ``ℓ(k) = 0`` without a head call, and one
     that cannot afford level 2 gets ``ℓ(k) = 1`` from
-    :func:`_level_one_heads`; the rest call ``meeting_head``.  If the
-    tail bound ``c^{ℓ(k)}`` is below ``skip_tol`` the sampling step is
-    skipped — the estimate is then deterministic with error <= ``c^{ℓ(k)}``.
+    :func:`_level_one_heads`; the rest call ``meeting_head``.
 
     The tail sample count is scaled down to ``R'(k) = ⌈c^{ℓ(k)} R(k)⌉``: the
     tail estimator's values live in ``{0, c^{ℓ(k)}}``, so its variance is
@@ -212,8 +207,7 @@ def estimate_batch(
         head = meeting_head(csr, int(nodes[i]), c=c, budget_edges=int(budget[i]))
         d_hat[i] = 1.0 - head.z_sum
         ell[i] = head.ell
-    tail = (din > 1) & (c_pow[ell] > skip_tol)
-    pairs = np.where(tail, np.ceil(r * c_pow[ell]), 0.0).astype(np.int64)
+    pairs = np.where(din > 1, np.ceil(r * c_pow[ell]), 0.0).astype(np.int64)
     met = pair_walks.count_meetings(csr, nodes, pairs, ell, c=c, rng=rng, walk=pair_meet_count)
     d_hat -= c_pow[ell] * met / np.maximum(pairs, 1)
     return d_hat, ell, pairs
@@ -253,7 +247,6 @@ def estimate_D_local_push(
     *,
     c: float,
     seed: int,
-    skip_tol: float = 0.0,
     engine: str = "local",
 ) -> Tuple[np.ndarray, pd.DataFrame]:
     """Estimate ``D̂`` for the given nodes with Algorithm 3.
@@ -263,7 +256,7 @@ def estimate_D_local_push(
     ``pair_walks.simulate_pairs``; ``engine`` (``'local'`` or ``'spark'``)
     picks where, and both engines agree exactly.
     """
-    estimate = functools.partial(estimate_batch, c=c, skip_tol=skip_tol)
+    estimate = functools.partial(estimate_batch, c=c)
     stats = pair_walks.simulate_pairs(graph, nodes, counts, estimate, seed=seed, engine=engine)
     d = np.full(graph.n, 1.0 - c)
     d[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()

@@ -13,7 +13,6 @@ Ground truth:
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -73,7 +72,6 @@ def ground_truth_large(
     eps_min: float,
     max_pairs: int,
     seed: int = 123,
-    walk_engine: str = "local",
 ) -> Dict[int, np.ndarray]:
     """ExactSim-as-ground-truth, the paper's §4.2 protocol."""
     out = {}
@@ -84,7 +82,6 @@ def ground_truth_large(
             eps=eps_min,
             variant="opt",
             seed=seed,
-            walk_engine=walk_engine,
             max_pairs=max_pairs,
         )
         out[int(s)] = r.scores
@@ -107,7 +104,6 @@ class SweepConfig:
     max_index_entries: int = 5_000_000
     max_push_edges: int = 300_000_000
     seed: int = 11
-    walk_engine: str = "local"
     exactsim_eps: Sequence[float] = (1e-1, 1e-2, 1e-3, 1e-4)
     exactsim_basic_eps: Sequence[float] = (1e-1, 1e-2, 1e-3)
     parsim_L: Sequence[int] = (1, 2, 5, 10, 20, 50)
@@ -141,7 +137,6 @@ def sweep_exactsim(
                 eps=eps,
                 variant=variant,
                 seed=cfg.seed,
-                walk_engine=cfg.walk_engine,
                 max_pairs=cfg.max_pairs,
             )
             e, p = _evaluate(r.scores, truth[int(s)], int(s), cfg.k)
@@ -244,7 +239,7 @@ def sweep_linearization(
         try:
             idx = linearization.preprocess(
                 graph, eps=eps, c=C, seed=cfg.seed,
-                max_pairs=cfg.max_pairs, walk_engine=cfg.walk_engine,
+                max_pairs=cfg.max_pairs,
             )
         except linearization.BudgetExceeded:
             rows.append(
@@ -287,7 +282,6 @@ def sweep_prsim(
                 graph, eps=eps, c=C, seed=cfg.seed,
                 max_entries=cfg.max_index_entries, max_pairs=cfg.max_pairs,
                 max_push_edges=cfg.max_push_edges,
-                walk_engine=cfg.walk_engine,
             )
         except prsim.BudgetExceeded:
             rows.append(

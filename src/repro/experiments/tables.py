@@ -124,7 +124,6 @@ def ablation_rows(
     n_sources: int = 2,
     seed: int = 11,
     truth: Optional[Dict[int, np.ndarray]] = None,
-    walk_engine: str = "local",
 ) -> List[Dict]:
     """Figure 9 analog: basic vs optimized ExactSim, same ε and pair cap.
 
@@ -145,8 +144,7 @@ def ablation_rows(
             errs, times, sims = [], [], []
             for s in sources:
                 r = exactsim(
-                    g, int(s), eps=eps, variant=variant, seed=seed,
-                    walk_engine=walk_engine, max_pairs=max_pairs,
+                    g, int(s), eps=eps, variant=variant, seed=seed, max_pairs=max_pairs
                 )
                 errs.append(float(np.max(np.abs(r.scores - truth[int(s)]))))
                 times.append(r.seconds_total)

@@ -196,16 +196,16 @@ def load(name: str, spark: Optional[SparkSession] = None) -> Graph:
     return g
 
 
-def tiny_cycle(k: int = 4, spark: Optional[SparkSession] = None) -> Graph:
+def tiny_cycle(k: int = 4) -> Graph:
     """Directed k-cycle — hand-analyzable test graph."""
     src = np.arange(k, dtype=np.int64)
     dst = (src + 1) % k
-    return from_edges(f"cycle{k}", k, src, dst, directed=True, spark=spark)
+    return from_edges(f"cycle{k}", k, src, dst, directed=True)
 
 
-def tiny_star(k: int = 5, spark: Optional[SparkSession] = None) -> Graph:
+def tiny_star(k: int = 5) -> Graph:
     """Undirected star with center 0 and k leaves — hand-analyzable."""
     leaves = np.arange(1, k + 1, dtype=np.int64)
     src = np.concatenate([np.zeros(k, dtype=np.int64), leaves])
     dst = np.concatenate([leaves, np.zeros(k, dtype=np.int64)])
-    return from_edges(f"star{k}", k + 1, src, dst, directed=False, spark=spark)
+    return from_edges(f"star{k}", k + 1, src, dst, directed=False)

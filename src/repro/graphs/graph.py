@@ -1,12 +1,9 @@
 """Directed-graph substrate shared by every algorithm in the reproduction.
 
-A :class:`Graph` owns two synchronized representations of the same edge set:
-
-* a Spark DataFrame of edges ``(src, dst)`` — the SQL side, which the DuckDB
-  oracle tests replay;
-* numpy arrays (edge lists, in-degrees, in-adjacency CSR) — the vectorized
-  kernel side, broadcast once per graph to executors for the D-estimation
-  phase (:func:`run_partitioned` tasks index into them directly).
+A :class:`Graph` holds its edge set as numpy arrays (edge lists, in-degrees,
+in- and out-adjacency CSR) — the vectorized kernel side, broadcast once per
+graph to executors for the D-estimation phase (:func:`run_partitioned` tasks
+index into them directly).  ``edges_pdf()`` is the DuckDB oracle's input.
 
 Edge semantics follow the paper: a directed edge ``u -> v`` makes ``u`` an
 *in-neighbor* of ``v`` (``u ∈ I(v)``).  The reverse transition matrix is
@@ -16,13 +13,12 @@ present, so ``I(v)`` equals the neighbor set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,12 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
 
 @dataclass
 class Graph:
-    """A named graph with Spark and numpy views kept in lockstep."""
+    """A named graph: its numpy CSR and, for the Spark engine, a session."""
 
     name: str
     directed: bool
     csr: CSRGraph
     spark: Optional[SparkSession] = None
-    _edges_df: Optional[DataFrame] = field(default=None, repr=False)
     _bc = None  # pyspark Broadcast of the CSRGraph
 
     @property
@@ -121,28 +116,6 @@ class Graph:
     def edges_pdf(self) -> pd.DataFrame:
         """Edge list as pandas — the DuckDB oracle's input table."""
         return pd.DataFrame({"src": self.csr.src, "dst": self.csr.dst})
-
-    def edges_df(self) -> DataFrame:
-        """Edge list as a cached Spark DataFrame ``(src, dst)``."""
-        if self._edges_df is None:
-            if self.spark is None:
-                raise RuntimeError("Graph was built without a SparkSession")
-            self._edges_df = self.spark.createDataFrame(self.edges_pdf()).cache()
-        return self._edges_df
-
-    def transition_df(self) -> DataFrame:
-        """Reverse transition matrix ``P`` as weighted edges.
-
-        One row per graph edge ``(src, dst)`` with ``w = 1/d_in(dst)`` — the
-        entry ``P(src, dst)``.  Built with a window-free aggregation join so
-        the plan is a plain shuffle (exercised under the disabled-broadcast
-        session config).
-        """
-        e = self.edges_df()
-        din = e.groupBy("dst").agg(F.count("*").alias("din"))
-        return e.join(din, "dst").select(
-            "src", "dst", (F.lit(1.0) / F.col("din")).alias("w")
-        )
 
     def broadcast_csr(self):
         """Broadcast the numpy CSR once; reused by every :func:`run_partitioned`."""

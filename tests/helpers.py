@@ -26,3 +26,8 @@ def exact_d(name: str, c: float = 0.6, tol: float = 1e-11) -> np.ndarray:
 @lru_cache(maxsize=None)
 def exact_d_power(name: str, c: float = 0.6, tol: float = 1e-12) -> np.ndarray:
     return diagonal.exact_diagonal(gen.load(name), c=c, tol=tol)
+
+
+#: ``P``'s weighted edges ``(src, dst, w = 1/d_in(dst))``, derived by DuckDB
+#: from the ``edges`` table alone, independently of the code under test.
+TRANSITION_SQL = "SELECT src, dst, 1.0 / COUNT(*) OVER (PARTITION BY dst) AS w FROM edges"

@@ -1,5 +1,6 @@
 """MC baseline: estimator correctness, accounting, the oracle-replayed join."""
 import numpy as np
+import pandas as pd
 
 from repro.baselines import mc
 from repro.graphs import generators as gen
@@ -50,25 +51,16 @@ def test_mc_index_accounting():
     assert idx.seconds_preprocess > 0
 
 
-def test_mc_query_oracle(spark):
+def test_mc_query_oracle():
     """Replay the meeting-count join in DuckDB over the same trace table."""
-    g = gen.load("GQ-lite", spark)
+    g = gen.load("GQ-lite")
     idx = mc.preprocess(g, r_per_node=20, c=C, seed=6)
     source = 7
-    from pyspark.sql import functions as F
-
-    t = spark.createDataFrame(idx.trace_pdf)
-    ti = t.filter(F.col("node") == source).select("r", "step", "pos")
-    counts = (
-        t.filter(F.col("node") != source)
-        .join(ti, ["r", "step", "pos"])
-        .select("node", "r")
-        .distinct()
-        .groupBy("node")
-        .agg(F.count("*").alias("meets"))
-    )
+    s = mc.query(g, idx, source).scores
+    met = np.flatnonzero(s)
+    met = met[met != source]
     assert_equivalent(
-        counts,
+        pd.DataFrame({"node": met, "meets": np.rint(s[met] * idx.r_per_node).astype(np.int64)}),
         f"""
         SELECT t.node AS node, COUNT(DISTINCT t.r) AS meets
         FROM traces t

@@ -1,5 +1,6 @@
 """PRSim-lite baseline: index build, eq.-7 query, budgets, oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines import prsim
@@ -58,28 +59,19 @@ def test_query_end_to_end_error_within_eps_scale():
     assert np.abs(res.scores - truth[:, 4]).max() <= 1e-1
 
 
-def test_query_join_oracle(spark):
+def test_query_join_oracle():
     """The eq.-7 aggregation is SQL: DuckDB replays the index⋈source join."""
-    g = gen.load("GQ-lite", spark)
+    g = gen.load("GQ-lite")
     idx = prsim.preprocess(g, eps=1e-1, c=C, seed=5, max_pairs=500_000)
     source = 9
     srows = prsim._source_rows(g, source, idx, C)
     srows["w"] = srows["val_i"] * idx.d_hat[srows["k"].to_numpy()]
-    sdf = spark.createDataFrame(
-        srows[["ell", "k", "w"]], schema="ell long, k long, w double"
-    )
-    idx_df = spark.createDataFrame(idx.index_pdf)
-    from pyspark.sql import functions as F
-
-    agg = (
-        idx_df.join(sdf, ["ell", "k"])
-        .groupBy("j")
-        .agg(F.sum(F.col("val") * F.col("w")).alias("term"))
-    )
+    s = prsim.query(g, idx, source, c=C).scores
+    j = np.flatnonzero(s)
     assert_equivalent(
-        agg,
-        """
-        SELECT i.j AS j, SUM(i.val * s.w) AS term
+        pd.DataFrame({"j": j, "score": s[j]}),
+        f"""
+        SELECT i.j AS j, SUM(i.val * s.w) / POWER(1 - SQRT({C}), 2) AS score
         FROM index_pdf i JOIN srows s ON i.ell = s.ell AND i.k = s.k
         GROUP BY i.j
         """,

@@ -20,6 +20,20 @@ def test_opt_error_within_eps(name, eps):
     assert np.abs(r.scores - truth[:, src]).max() <= eps
 
 
+@pytest.mark.parametrize("name", gen.SMALL_DATASETS)
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_opt_error_within_fine_eps_over_seeds_and_sources(name, eps):
+    """The additive-ε guarantee at fine ε: MaxError <= ε for every one of
+    sources 0-2 × seeds 0-4 under the experiments' 1e7-pair cap."""
+    g = gen.load(name)
+    truth = power_truth(name)
+    for src in range(3):
+        for seed in range(5):
+            r = exactsim(g, src, eps=eps, variant="opt", seed=seed, max_pairs=10_000_000)
+            err = np.abs(r.scores - truth[:, src]).max()
+            assert err <= eps, (src, seed, err)
+
+
 @pytest.mark.parametrize("name", ["GQ-lite", "WV-lite"])
 def test_basic_error_within_eps(name):
     g = gen.load(name)
@@ -142,6 +156,15 @@ def test_invalid_args():
             {"eps": 1e-1, "variant": "basic", "walk_engine": "sparkk"},
             "engine",
             id="engine-basic",
+        ),
+        pytest.param({"eps": 1e-1, "seed": -1}, "seed", id="seed<0"),
+        pytest.param(
+            {"eps": 1e-1, "seed": -1, "walk_engine": "spark"}, "seed", id="seed<0-spark"
+        ),
+        pytest.param({"eps": 1e-1, "max_pairs": 0}, "max_pairs", id="max_pairs=0"),
+        pytest.param(
+            {"eps": 1e-1, "variant": "basic", "max_pairs": -5}, "max_pairs",
+            id="max_pairs<0-basic",
         ),
     ],
 )

@@ -1,16 +1,16 @@
-"""Graph substrate: CSR construction, transition matrix, Spark/oracle parity,
-the local/Spark per-row executor."""
+"""Graph substrate: CSR construction, transition matrix, DuckDB oracle
+parity, the local/Spark per-row executor."""
 import time
 
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark import TaskContext
-from pyspark.sql import functions as F
 
 from repro.graphs import generators as gen
 from repro.graphs.graph import build_csr, from_edges, run_partitioned
 from repro.oracle import assert_equivalent
+from tests.helpers import TRANSITION_SQL
 
 SMALL = gen.SMALL_DATASETS
 
@@ -119,51 +119,23 @@ def test_dense_P_guard_on_large_graph():
 
 
 # ---------------------------------------------------------------------------
-# Spark views + DuckDB oracle
+# DuckDB oracle
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["GQ-lite", "WV-lite"])
-def test_edges_df_matches_pandas(spark, name):
-    g = gen.load(name, spark)
-    assert g.edges_df().count() == g.m
-    got = g.edges_df().toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    exp = g.edges_pdf().sort_values(["src", "dst"]).reset_index(drop=True)
-    assert got.equals(exp)
+def test_transition_weights_oracle(name):
+    g = gen.load(name)
+    src, dst = g.csr.src, g.csr.dst
+    got = pd.DataFrame({"src": src, "dst": dst, "w": g.dense_P()[src, dst]})
+    assert_equivalent(got, TRANSITION_SQL, edges=g.edges_pdf())
 
 
-@pytest.mark.parametrize("name", ["GQ-lite", "WV-lite"])
-def test_transition_df_oracle(spark, name):
-    g = gen.load(name, spark)
+def test_indegree_oracle():
+    g = gen.load("HT-lite")
+    has_in = np.flatnonzero(g.csr.din)
     assert_equivalent(
-        g.transition_df(),
-        """
-        SELECT e.src AS src, e.dst AS dst, 1.0 / d.din AS w
-        FROM edges e
-        JOIN (SELECT dst, COUNT(*) AS din FROM edges GROUP BY dst) d
-          ON e.dst = d.dst
-        """,
-        edges=g.edges_pdf(),
-    )
-
-
-def test_transition_df_weights_sum_to_one(spark):
-    g = gen.load("GQ-lite", spark)
-    sums = (
-        g.transition_df()
-        .groupBy("dst")
-        .agg(F.sum("w").alias("s"))
-        .toPandas()["s"]
-        .to_numpy()
-    )
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-
-
-def test_indegree_oracle(spark):
-    g = gen.load("HT-lite", spark)
-    din_df = g.edges_df().groupBy("dst").agg(F.count("*").alias("din"))
-    assert_equivalent(
-        din_df,
+        pd.DataFrame({"dst": has_in, "din": g.csr.din[has_in]}),
         "SELECT dst, COUNT(*) AS din FROM edges GROUP BY dst",
         edges=g.edges_pdf(),
     )
@@ -172,7 +144,7 @@ def test_indegree_oracle(spark):
 def test_graph_without_spark_session_raises():
     g = from_edges("t", 3, np.array([0]), np.array([1]), directed=True)
     with pytest.raises(RuntimeError, match="SparkSession"):
-        g.edges_df()
+        g.broadcast_csr()
 
 
 # ---------------------------------------------------------------------------

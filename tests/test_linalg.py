@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.graphs import generators as gen
 from repro.linalg import matvec as mv
 from repro.oracle import assert_equivalent
+from tests.helpers import TRANSITION_SQL
 
 SMALL = gen.SMALL_DATASETS
 
@@ -325,22 +326,20 @@ def test_expand_sparse_dead_end():
 # ---------------------------------------------------------------------------
 
 
-def test_matvec_df_oracle(spark):
+def test_matvec_df_oracle():
     """``P · v`` is a SQL join over the transition table — DuckDB replays it
     against the numpy kernel."""
-    g = gen.load("GQ-lite", spark)
+    g = gen.load("GQ-lite")
     v = _rand_vec(g.n, 9)
-    vec_pdf = pd.DataFrame({"id": np.arange(g.n), "val": v})
-    trans_pdf = g.transition_df().toPandas()
     ids = np.unique(g.csr.src)
-    out = pd.DataFrame({"id": ids, "val": mv.matvec_P(g.csr, v)[ids]})
     assert_equivalent(
-        spark.createDataFrame(out),
-        """
+        pd.DataFrame({"id": ids, "val": mv.matvec_P(g.csr, v)[ids]}),
+        f"""
+        WITH t AS ({TRANSITION_SQL})
         SELECT t.src AS id, SUM(t.w * v.val) AS val
-        FROM transition t JOIN vec v ON t.dst = v.id
+        FROM t JOIN vec v ON t.dst = v.id
         GROUP BY t.src
         """,
-        transition=trans_pdf,
-        vec=vec_pdf,
+        edges=g.edges_pdf(),
+        vec=pd.DataFrame({"id": np.arange(g.n), "val": v}),
     )

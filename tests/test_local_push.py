@@ -297,15 +297,8 @@ def test_estimate_batch_one_node_generous_budget_is_nearly_exact():
     g = gen.tiny_star(4)
     d_exact = diagonal.exact_diagonal(g, c=C, tol=1e-13)
     rng = np.random.default_rng(1)
-    d, ell, pairs = _one_node(g.csr, 0, 100_000, rng=rng, skip_tol=1e-9)
+    d, ell, pairs = _one_node(g.csr, 0, 100_000, rng=rng)
     assert abs(d - d_exact[0]) < 1e-6
-
-
-def test_estimate_batch_one_node_skip_tol_skips_sampling():
-    g = gen.tiny_star(4)
-    rng = np.random.default_rng(1)
-    d, ell, pairs = _one_node(g.csr, 0, 100_000, rng=rng, skip_tol=0.9)
-    assert pairs == 0  # c^ell <= 0.9 already after one level
 
 
 def test_estimate_batch_one_node_small_budget_falls_back_to_sampling():
@@ -336,11 +329,10 @@ def test_estimate_batch_matches_per_node_heads(name):
         r_edge += bump
     exact_budget = np.ceil(2.0 * r_edge / math.sqrt(C)) == din
     assert np.count_nonzero(exact_budget & (din > 1)) > 10
-    skip_tol = 1e-3
     for r in [np.zeros(g.n, dtype=np.int64), r_edge, r_edge + 1,
               np.full(g.n, 40), np.full(g.n, 3000)]:
         d_hat, ell, pairs = local_push.estimate_batch(
-            g.csr, nodes, r, c=C, rng=np.random.default_rng(0), skip_tol=skip_tol
+            g.csr, nodes, r, c=C, rng=np.random.default_rng(0)
         )
         for k in range(g.n):
             r_k = int(r[k])
@@ -348,8 +340,7 @@ def test_estimate_batch_matches_per_node_heads(name):
             if din[k] > 1:
                 budget = int(math.ceil(2.0 * r_k / math.sqrt(C)))
                 want_ell = local_push.meeting_head(g.csr, k, c=C, budget_edges=budget).ell
-                if C**want_ell > skip_tol:
-                    want_pairs = int(math.ceil(r_k * C**want_ell))
+                want_pairs = int(math.ceil(r_k * C**want_ell))
             assert (ell[k], pairs[k]) == (want_ell, want_pairs), (k, r_k)
         # Nodes whose budget is exactly d_in afford level 1.
         if r is r_edge:
@@ -394,13 +385,11 @@ def test_estimate_batch_bulk_level_one_matches_meeting_head(monkeypatch, name):
         calls.append(1)
         return real(*a, **kw)
     monkeypatch.setattr(local_push, "meeting_head", counted)
-    got = local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(3),
-                                    skip_tol=1e-4)
+    got = local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(3))
     assert len(calls) == np.count_nonzero(heads & ~below)
     monkeypatch.setattr(local_push, "_level_one_heads",
                         lambda csr, nodes, budget, c: (np.zeros(nodes.size, bool), np.zeros(0)))
-    want = local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(3),
-                                     skip_tol=1e-4)
+    want = local_push.estimate_batch(g.csr, nodes, r, c=C, rng=np.random.default_rng(3))
     assert len(calls) == np.count_nonzero(heads) + np.count_nonzero(heads & ~below)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -488,7 +477,7 @@ def test_estimate_D_local_push_close_to_exact():
     nodes = np.arange(g.n, dtype=np.int64)
     counts = np.full(g.n, 3000, dtype=np.int64)
     d_hat, stats = local_push.estimate_D_local_push(
-        g, nodes, counts, c=C, seed=5, skip_tol=1e-7
+        g, nodes, counts, c=C, seed=5
     )
     assert np.abs(d_hat - d_exact).max() < 0.02
     assert set(stats.columns) == {"node", "d_hat", "ell", "pairs"}
