@@ -131,6 +131,16 @@ def test_transition_weights_oracle(name):
     assert_equivalent(got, TRANSITION_SQL, edges=g.edges_pdf())
 
 
+def test_transition_df_weights_sum_to_one():
+    """Grouped per target, ``P``'s weighted edges ``(src, dst, w)`` sum to one."""
+    g = gen.load("GQ-lite")
+    src, dst = g.csr.src, g.csr.dst
+    weighted = pd.DataFrame({"dst": dst, "w": g.dense_P()[src, dst]})
+    sums = weighted.groupby("dst")["w"].sum().to_numpy()
+    assert sums.size == np.count_nonzero(g.csr.din)
+    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
 def test_indegree_oracle():
     g = gen.load("HT-lite")
     has_in = np.flatnonzero(g.csr.din)
