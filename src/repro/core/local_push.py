@@ -29,10 +29,11 @@ that affords level 1 but not level 2 gets ``ℓ(k) = 1`` and its ``Z_1(k)``
 from one vectorized pass over the whole batch, with the bits
 ``meeting_head`` would return; on DB-lite these are ~96% of the heads.  The
 other nodes get one ``meeting_head`` call each, and the batch's tails walk
-through ``pair_walks.count_meetings``.  One hub node (the source itself) can
-hold most of a query's work: on Spark its batch (batch 0, the largest
-``R(k)``) shares a task only with batches ``par, 2·par, …``, and that task
-sets the phase's time.
+through ``pair_walks.count_meetings``: slices of ``CHUNK`` pairs, each on its
+own stream, spread over one thread per core.  One hub node (the source
+itself) can hold most of a query's work: on Spark its batch (batch 0, the
+largest ``R(k)``) shares a task only with batches ``par, 2·par, …``, and
+that task sets the phase's time; its tail slices still use every core.
 """
 from __future__ import annotations
 
@@ -190,7 +191,8 @@ def estimate_batch(
     than Algorithm 2 at the full ``R(k)``.  This is how the paper's "reduces
     the variance by at least ``c^{ℓ(k)}``" claim turns into wall-clock
     savings (Figure 9's 10-100×) rather than only accuracy.  The batch's
-    tails walk through ``pair_walks.count_meetings``.
+    tails walk through ``pair_walks.count_meetings``, which runs their
+    slices on a thread pool, one child stream of ``rng`` per slice.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     r = np.asarray(r, dtype=np.int64)

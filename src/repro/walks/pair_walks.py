@@ -13,8 +13,10 @@ The paper's D-estimators simulate *pairs* of √c-walks from a node ``v_k``:
 
 ``pair_meet_count`` is the vectorized numpy kernel (arrays shrink as pairs
 finish; expected √c-walk length is ``1/(1-√c) ≈ 4.4`` steps so the loop is
-short); ``count_meetings`` walks a batch of nodes' pairs through it and
-counts the meetings back per node.  Both algorithms run the same way (§3.2
+short); ``count_meetings`` cuts a batch of nodes' pairs into slices of
+:data:`CHUNK` pairs, walks each slice through it on its own random stream,
+one thread per core (the kernel's numpy calls release the GIL), and counts
+the meetings back per node.  Both algorithms run the same way (§3.2
 "Parallelization"): ``simulate_pairs`` deals the nodes into :data:`BATCHES`
 work rows (``make_assignments``) and runs a per-batch estimator on every
 row, in-process or on Spark through ``graphs.graph.run_partitioned``.
@@ -22,6 +24,8 @@ row, in-process or on Spark through ``graphs.graph.run_partitioned``.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -33,10 +37,14 @@ from repro.graphs.graph import CSRGraph, Graph, run_partitioned
 #: c^t, so the truncation bias at 300 steps is ~1e-66 — far below ε_min.
 MAX_STEPS = 300
 
-#: Most pairs one ``pair_meet_count`` call walks: bounds a batch's walk
-#: arrays, however many pairs its nodes hold, while amortizing per-call
-#: overhead.
-CHUNK = 200_000
+#: Most pairs one ``pair_meet_count`` call walks: bounds each thread's walk
+#: arrays, however many pairs a batch's nodes hold, while amortizing per-call
+#: overhead.  A constant, so the slices, and with them the scores, do not
+#: depend on the host's core count.
+CHUNK = 50_000
+
+#: Threads that walk one batch's slices: one per core this process may run on.
+WORKERS = len(os.sched_getaffinity(0))
 
 #: Work rows of the D estimation.  Nodes sorted by ``R(k)`` are dealt
 #: round-robin into this many batches on both engines, so both draw the same
@@ -115,12 +123,16 @@ def count_meetings(
     :data:`CHUNK` pairs, one ``walk`` (``pair_meet_count`` as the caller's
     module resolves it) call per slice; a slice takes its start nodes and
     prefixes from its pairs' owner indices, so no array spans the whole
-    batch.
+    batch.  Slice ``j`` walks child ``j`` of ``rng.spawn``, and the slices
+    run on up to :data:`WORKERS` threads (in the calling thread when there
+    is one slice or one worker).  The counts are integers, so their sum
+    does not depend on the order in which the slices finish.
     """
     ends = np.cumsum(pairs)
     total = int(ends[-1]) if ends.size else 0
-    met = np.zeros(nodes.size, dtype=np.int64)
-    for first in range(0, total, CHUNK):
+    firsts = range(0, total, CHUNK)
+
+    def walk_slice(first: int, stream: np.random.Generator) -> np.ndarray:
         size = min(CHUNK, total - first)
         # The nodes owning the slice's first and last pair, and each one's
         # share of the slice.
@@ -129,8 +141,19 @@ def count_meetings(
         share = np.minimum(ends[span], first + size) - np.maximum(ends[span] - pairs[span], first)
         owner = np.repeat(span, share)
         prefix = nonstop if np.ndim(nonstop) == 0 else nonstop[owner]
-        hits = walk(csr, nodes[owner], size, c=c, rng=rng, nonstop_steps=prefix)
-        met += np.bincount(owner[hits], minlength=nodes.size)
+        hits = walk(csr, nodes[owner], size, c=c, rng=stream, nonstop_steps=prefix)
+        return np.bincount(owner[hits], minlength=nodes.size)
+
+    streams = rng.spawn(len(firsts))
+    met = np.zeros(nodes.size, dtype=np.int64)
+    workers = min(WORKERS, len(firsts))
+    if workers <= 1:
+        for counts in map(walk_slice, firsts, streams):
+            met += counts
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for counts in pool.map(walk_slice, firsts, streams):
+                met += counts
     return met
 
 
@@ -175,9 +198,10 @@ def simulate_pairs(
     simulated)`` arrays aligned with the batch's ``nodes``.  The result has
     one row per node, ``(node, d_hat, ell, pairs)`` with the dtypes of
     :data:`STATS_DTYPES`, sorted by node (empty for no nodes).  Batch
-    ``b`` walks the stream ``np.random.default_rng([seed, b])``
-    (``seed >= 0``): re-running a configuration replays the same walks, no
-    two batches share a stream, and ``engine='spark'`` (rows spread over the
+    ``b``'s estimator gets the generator ``np.random.default_rng([seed, b])``
+    (``seed >= 0``), whose children ``count_meetings`` hands to the batch's
+    slices: re-running a configuration replays the same walks, no two
+    slices share a stream, and ``engine='spark'`` (rows spread over the
     cluster with :func:`run_partitioned`) and ``engine='local'`` return
     identical rows.
     """

@@ -120,12 +120,21 @@ def test_table3_rows_shape():
 
 def test_ablation_rows_shape():
     # At ε = 1e-3 the basic variant is hard-capped by the pair budget while
-    # the optimized one is not — the regime where Figure 9's gap is large
-    # and robust to sampling noise.
-    rows = tables.ablation_rows(
-        dataset="GQ-lite", eps_grid=(1e-3,), max_pairs=200_000, n_sources=1
-    )
-    by_variant = {r["variant"]: r for r in rows}
-    assert by_variant["opt"]["max_error"] < by_variant["basic"]["max_error"]
-    assert by_variant["opt"]["pairs_simulated"] < by_variant["basic"]["pairs_simulated"]
+    # the optimized one is not — the regime where Figure 9's gap is large.
+    # One draw of each variant can still land either way, so the errors are
+    # compared as medians over walk seeds 0-11 on one source, as
+    # benchmarks/bench_ablation.py does.
+    g = gen.load("GQ-lite")
+    truth = harness.ground_truth_small(g, harness.pick_sources(g, 1, seed=11))
+    errors = {"basic": [], "opt": []}
+    for seed in range(12):
+        rows = tables.ablation_rows(
+            dataset="GQ-lite", eps_grid=(1e-3,), max_pairs=200_000, n_sources=1,
+            seed=seed, truth=truth,
+        )
+        by_variant = {r["variant"]: r for r in rows}
+        assert by_variant["opt"]["pairs_simulated"] < by_variant["basic"]["pairs_simulated"]
+        for variant, r in by_variant.items():
+            errors[variant].append(r["max_error"])
+    assert np.median(errors["opt"]) < np.median(errors["basic"])
 

@@ -123,8 +123,10 @@ def _dead_ends_and_chains(groups):
 def test_count_meetings_attributes_meetings_across_slice_boundaries(monkeypatch):
     """Dead-end nodes alternate with one-in-neighbour nodes, and a tiny
     ``CHUNK`` splits nodes across kernel calls: a meeting credited to the
-    wrong node shows on a dead-end node, whose pairs can never meet."""
+    wrong node shows on a dead-end node, whose pairs can never meet.  One
+    worker keeps the calls in slice order for the spy."""
     monkeypatch.setattr(pair_walks, "CHUNK", 7)
+    monkeypatch.setattr(pair_walks, "WORKERS", 1)
     g, a, b = _dead_ends_and_chains(200)
     nodes = np.stack([a, b], axis=1).ravel()  # a0, b0, a1, b1, ...
     pairs = 1 + np.arange(nodes.size) % 11
@@ -143,18 +145,24 @@ def test_count_meetings_attributes_meetings_across_slice_boundaries(monkeypatch)
     np.testing.assert_array_equal(np.concatenate(starts), np.repeat(nodes, pairs))
     assert (met[0::2] == 0).all()
     assert (met <= pairs).all()
-    # Pairs from b_i meet iff both walks take their first step: probability c.
-    assert met[1::2].sum() / pairs[1::2].sum() == pytest.approx(C, abs=0.05)
-    # The same through Algorithm 2's batches: D̂ is exactly 1 on dead ends.
+    # Pairs from b_i meet iff both walks take their first step: probability
+    # c.  Pooled over the b_i's pairs, the meeting rate has standard error
+    # √(c(1-c)/Σ pairs) ≈ 0.014; 5σ tolerance.
+    tol = 5 * math.sqrt(C * (1 - C) / pairs[1::2].sum())
+    assert met[1::2].sum() / pairs[1::2].sum() == pytest.approx(C, abs=tol)
+    # The same through Algorithm 2's batches: D̂ is exactly 1 on dead ends,
+    # and the b_i's pooled D̂ (weighted by their pairs) is 1 - c.
     d = diagonal.estimate_D_mc(g, nodes, pairs, c=C, seed=2)
     np.testing.assert_array_equal(d[a], 1.0)
-    assert d[b].mean() == pytest.approx(1 - C, abs=0.05)
+    assert np.average(d[b], weights=pairs[1::2]) == pytest.approx(1 - C, abs=tol)
 
 
 def test_count_meetings_slices_skip_zero_pair_nodes(monkeypatch):
     """Nodes without pairs, also at slice edges, own no pair, and each pair
-    walks with its own node's prefix."""
+    walks with its own node's prefix.  One worker keeps the calls in slice
+    order for the spy."""
     monkeypatch.setattr(pair_walks, "CHUNK", 5)
+    monkeypatch.setattr(pair_walks, "WORKERS", 1)
     g = gen.load("GQ-lite")
     nodes = np.arange(30, dtype=np.int64)
     pairs = np.array([0, 3, 0, 0, 2, 5, 0, 1, 4, 0] * 3, dtype=np.int64)
@@ -171,6 +179,52 @@ def test_count_meetings_slices_skip_zero_pair_nodes(monkeypatch):
     )
     np.testing.assert_array_equal(np.concatenate(starts), np.repeat(nodes, pairs))
     np.testing.assert_array_equal(np.concatenate(prefixes), np.repeat(prefix, pairs))
+
+
+@pytest.mark.parametrize("per_node_prefix", [False, True], ids=["prefix0", "per-node-prefix"])
+def test_count_meetings_does_not_depend_on_workers(monkeypatch, per_node_prefix):
+    """Each slice walks its own child stream, so one worker and a pool of
+    four count the same meetings per node as a plain loop that walks slice
+    ``j`` of the batch's pairs on child ``j``, over a dozen slices whose
+    edges split nodes and skip zero-pair ones."""
+    chunk = 1000
+    monkeypatch.setattr(pair_walks, "CHUNK", chunk)
+    g = gen.load("GQ-lite")
+    nodes = np.arange(40, dtype=np.int64)
+    pairs = np.random.default_rng(0).integers(0, 600, nodes.size)
+    pairs[::7] = 0
+    prefix = nodes % 4 if per_node_prefix else 0
+    owner = np.repeat(np.arange(nodes.size), pairs)
+    assert owner.size >= 5 * chunk
+    ref = np.zeros(nodes.size, dtype=np.int64)
+    for j, stream in enumerate(np.random.default_rng(8).spawn(-(-owner.size // chunk))):
+        own = owner[j * chunk:(j + 1) * chunk]
+        hits = pair_walks.pair_meet_count(
+            g.csr, nodes[own], own.size, c=C, rng=stream,
+            nonstop_steps=np.broadcast_to(prefix, nodes.shape)[own],
+        )
+        np.add.at(ref, own[hits], 1)
+    assert ref.sum() > 0
+    for workers in (1, 4):
+        monkeypatch.setattr(pair_walks, "WORKERS", workers)
+        met = pair_walks.count_meetings(
+            g.csr, nodes, pairs, prefix, c=C, rng=np.random.default_rng(8),
+            walk=pair_walks.pair_meet_count,
+        )
+        np.testing.assert_array_equal(met, ref)
+
+
+def test_exactsim_scores_do_not_depend_on_workers(monkeypatch):
+    """A capped GQ-lite basic query, whose batches hold several slices,
+    scores the same bits on one worker and on a pool of four."""
+    g = gen.load("GQ-lite")
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(pair_walks, "WORKERS", workers)
+        runs.append(exactsim(g, 3, eps=1e-2, variant="basic", seed=1, max_pairs=2_000_000))
+    assert runs[0].effective_eps > runs[0].eps
+    assert runs[0].pairs_simulated > 2 * pair_walks.BATCHES * pair_walks.CHUNK
+    np.testing.assert_array_equal(runs[0].scores, runs[1].scores)
 
 
 def test_make_assignments_deals_batches_and_determinism():
@@ -195,20 +249,47 @@ def test_make_assignments_deals_batches_and_determinism():
 
 
 def test_simulate_pairs_streams_distinct_across_batches(monkeypatch):
-    """Every batch walks its own stream ``[seed, batch]``: the generator
-    keys built while estimating D for 40 nodes are the 16 batch keys."""
+    """Every batch walks its own stream ``[seed, batch]``, and slice ``j``
+    of a batch walks child ``j`` of it: the generator keys built while
+    estimating D for 40 nodes are the 16 batch keys, every slice walks a
+    distinct child of its batch's stream, and a re-run replays every slice."""
+    monkeypatch.setattr(pair_walks, "CHUNK", 250)
     g = gen.load("GQ-lite")
     seeds = []
-    real = np.random.default_rng
+    real_rng, real_walk = np.random.default_rng, pair_walks.pair_meet_count
 
     def recording_rng(seed):
         seeds.append(tuple(np.atleast_1d(seed).tolist()))
-        return real(seed)
+        return real_rng(seed)
+
+    def recording_walk(csr, start, n, *, rng, **kw):
+        hits = real_walk(csr, start, n, rng=rng, **kw)
+        seq = rng.bit_generator.seed_seq
+        walked.append((tuple(seq.entropy), seq.spawn_key, tuple(start), tuple(hits)))
+        return hits
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(pair_walks, "pair_meet_count", recording_walk)
     nodes = np.arange(40, 80, dtype=np.int64)
-    diagonal.estimate_D_mc(g, nodes, np.full(40, 300, dtype=np.int64), c=C, seed=5)
-    assert sorted(seeds) == [(5, b) for b in range(pair_walks.BATCHES)]
+    counts = np.full(40, 300, dtype=np.int64)
+    runs = []
+    for _ in range(2):
+        walked = []
+        d = diagonal.estimate_D_mc(g, nodes, counts, c=C, seed=5)
+        runs.append((d, sorted(walked)))
+    assert sorted(seeds) == sorted(2 * [(5, b) for b in range(pair_walks.BATCHES)])
+    # Batch b holds 3 or 2 nodes: 900 or 600 pairs, in 4 or 3 slices of 250;
+    # slice j starts the batch's pairs j·250 onwards and walks child j.
+    expected = []
+    for b, members in enumerate(pair_walks.make_assignments(nodes, counts)["node"]):
+        starts = np.repeat(members, 300)
+        expected += [
+            ((5, b), (j,), tuple(starts[first:first + 250]))
+            for j, first in enumerate(range(0, starts.size, 250))
+        ]
+    assert [w[:3] for w in runs[0][1]] == sorted(expected)
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
 
 
 def test_simulate_pairs_local_aggregates():
@@ -228,7 +309,9 @@ def test_simulate_pairs_local_aggregates():
 
 
 def test_simulate_pairs_spark_matches_local(spark):
-    """One node holds more than CHUNK pairs, so its batch spans kernel calls."""
+    """One node holds more than CHUNK pairs, so its batch spans kernel calls
+    and walks its slices on up to WORKERS threads, in-process and in a
+    Spark task."""
     g = gen.load("GQ-lite", spark)
     nodes = np.arange(10, dtype=np.int64)
     pairs = np.full(10, 2000, dtype=np.int64)
