@@ -145,14 +145,13 @@ def test_count_meetings_attributes_meetings_across_slice_boundaries(monkeypatch)
     np.testing.assert_array_equal(np.concatenate(starts), np.repeat(nodes, pairs))
     assert (met[0::2] == 0).all()
     assert (met <= pairs).all()
-    # Pairs from b_i meet iff both walks take their first step: probability
-    # c.  Pooled over the b_i's pairs, the meeting rate has standard error
-    # √(c(1-c)/Σ pairs) ≈ 0.014; 5σ tolerance.
-    tol = 5 * math.sqrt(C * (1 - C) / pairs[1::2].sum())
-    assert met[1::2].sum() / pairs[1::2].sum() == pytest.approx(C, abs=tol)
+    # Pairs from b_i meet iff both walks take their first step: probability c.
+    assert met[1::2].sum() / pairs[1::2].sum() == pytest.approx(C, abs=0.05)
     # The same through Algorithm 2's batches: D̂ is exactly 1 on dead ends,
-    # and the b_i's pooled D̂ (weighted by their pairs) is 1 - c.
+    # and the b_i's pooled D̂ (weighted by their pairs) is 1 - c.  Pooled,
+    # it has standard error √(c(1-c)/Σ pairs) ≈ 0.014; 5σ tolerance.
     d = diagonal.estimate_D_mc(g, nodes, pairs, c=C, seed=2)
+    tol = 5 * math.sqrt(C * (1 - C) / pairs[1::2].sum())
     np.testing.assert_array_equal(d[a], 1.0)
     assert np.average(d[b], weights=pairs[1::2]) == pytest.approx(1 - C, abs=tol)
 
