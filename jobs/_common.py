@@ -31,5 +31,11 @@ class Tee:
 
 
 def main(job: str, run):
-    sys.stdout = Tee(job)
-    run()
+    """Run ``run()`` with stdout mirrored into results/<job>.txt."""
+    tee = Tee(job)
+    sys.stdout = tee
+    try:
+        run()
+    finally:
+        sys.stdout = tee.stdout
+        tee.f.close()

@@ -24,16 +24,13 @@ JOBS = [
 ]
 
 if __name__ == "__main__":
-    orig_stdout = sys.stdout
-    try:
-        for name, fn in JOBS:
-            sys.stdout = _common.Tee(name)
-            t0 = time.time()
+    for name, fn in JOBS:
+        t0 = time.time()
+
+        def job():
             print(f"### job {name} start")
             fn()
             print(f"### job {name} done in {time.time() - t0:.1f}s")
-            sys.stdout.f.close()
-            sys.stdout = orig_stdout
-            print(f"[run_all] {name} finished in {time.time() - t0:.1f}s", flush=True)
-    finally:
-        sys.stdout = orig_stdout
+
+        _common.main(name, job)
+        print(f"[run_all] {name} finished in {time.time() - t0:.1f}s", flush=True)

@@ -20,12 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.baselines import BudgetExceeded
 from repro.core import diagonal, linearized
 from repro.graphs.graph import Graph
-
-
-class BudgetExceeded(RuntimeError):
-    """Preprocessing would exceed the configured pair-walk budget."""
 
 
 def samples_per_node(n: int, eps: float) -> int:

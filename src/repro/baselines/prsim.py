@@ -28,13 +28,10 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
+from repro.baselines import BudgetExceeded
 from repro.core import diagonal, linearized
 from repro.graphs.graph import Graph
 from repro.linalg import matvec as mv
-
-
-class BudgetExceeded(RuntimeError):
-    """Index build would exceed the configured entry budget."""
 
 
 def _levels_to_rows(src: int, levels) -> pd.DataFrame:

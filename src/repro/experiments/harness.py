@@ -1,10 +1,11 @@
 """Experiment harness: ground truths, method runners, sweep rows.
 
 One :class:`Row` per (dataset, method, parameter) setting, averaged over the
-query sources — exactly the points the paper plots.  A method whose budget
-exceeds the configured cap is reported with ``note='omitted (budget)'``, the
-scaled analog of the paper's "omit if query/preprocessing exceeds 24 hours"
-rule (DESIGN.md §4).
+query sources by one row builder, ``_row`` — exactly the points the paper
+plots.  MC, Linearization and PRSim-lite share one index loop: a build past
+the configured cap raises :class:`~repro.baselines.BudgetExceeded` and its
+point reads ``note='omitted (budget)'``, the scaled analog of the paper's
+"omit if query/preprocessing exceeds 24 hours" rule (DESIGN.md §4).
 
 Ground truth:
 * small graphs — Power Method (as in the paper §4.1);
@@ -14,12 +15,13 @@ Ground truth:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import metrics
-from repro.baselines import linearization, mc, parsim, prsim
+from repro.baselines import BudgetExceeded, linearization, mc, parsim, prsim
 from repro.baselines.power_method import simrank_power
 from repro.core.exactsim import exactsim
 from repro.graphs.graph import Graph
@@ -88,15 +90,6 @@ def ground_truth_large(
     return out
 
 
-def _evaluate(
-    scores: np.ndarray, truth: np.ndarray, source: int, k: int
-) -> tuple[float, float]:
-    return (
-        metrics.max_error(scores, truth),
-        metrics.precision_at_k(scores, truth, k, source=source),
-    )
-
-
 @dataclass
 class SweepConfig:
     k: int = 50
@@ -112,6 +105,44 @@ class SweepConfig:
     prsim_eps: Sequence[float] = (1e-1, 1e-2, 1e-3)
 
 
+def _row(
+    graph: Graph, method: str, param: str,
+    runs: Sequence[Tuple[int, np.ndarray, float]], truth: Dict[int, np.ndarray],
+    k: int, preprocess_s: float = 0.0, index_bytes: int = 0, note: str = "",
+) -> Row:
+    """One setting's row from its ``(source, scores, seconds)`` triples:
+    MaxError, Precision@k and query time, each averaged over the sources."""
+    errs = [metrics.max_error(x, truth[s]) for s, x, _ in runs]
+    precs = [metrics.precision_at_k(x, truth[s], k, source=s) for s, x, _ in runs]
+    times = [t for _, _, t in runs]
+    return Row(graph.name, method, param, preprocess_s, float(np.mean(times)),
+               index_bytes, float(np.mean(errs)), float(np.mean(precs)), note)
+
+
+def _sweep_index(
+    graph: Graph, sources: Sequence[int], truth: Dict[int, np.ndarray],
+    cfg: SweepConfig, method: str, label: str, grid: Sequence,
+    build: Callable, query: Callable,
+) -> List[Row]:
+    """One row per grid point, labelled ``label.format(param)``: ``build(param)``
+    returns the index or raises :class:`BudgetExceeded` to omit the point, and
+    ``query(index, source)`` returns a result with ``scores`` and
+    ``seconds_query``."""
+    rows = []
+    for param in grid:
+        try:
+            idx = build(param)
+        except BudgetExceeded:
+            rows.append(Row(graph.name, method, label.format(param), np.nan,
+                            np.nan, 0, np.nan, np.nan, note="omitted (budget)"))
+            continue
+        results = [(int(s), query(idx, int(s))) for s in sources]
+        runs = [(s, r.scores, r.seconds_query) for s, r in results]
+        rows.append(_row(graph, method, label.format(param), runs, truth, cfg.k,
+                         idx.seconds_preprocess, idx.index_bytes()))
+    return rows
+
+
 def sweep_exactsim(
     graph: Graph,
     sources: Sequence[int],
@@ -119,45 +150,19 @@ def sweep_exactsim(
     cfg: SweepConfig,
     *,
     variant: str = "opt",
-    eps_grid: Optional[Sequence[float]] = None,
 ) -> List[Row]:
-    rows = []
-    grid = eps_grid if eps_grid is not None else (
-        cfg.exactsim_eps if variant == "opt" else cfg.exactsim_basic_eps
-    )
+    grid = cfg.exactsim_eps if variant == "opt" else cfg.exactsim_basic_eps
     name = "ExactSim" if variant == "opt" else "ExactSim-basic"
+    rows = []
     for eps in grid:
-        errs, precs, times = [], [], []
-        capped = False
-        bytes_used = 0
-        for s in sources:
-            r = exactsim(
-                graph,
-                int(s),
-                eps=eps,
-                variant=variant,
-                seed=cfg.seed,
-                max_pairs=cfg.max_pairs,
-            )
-            e, p = _evaluate(r.scores, truth[int(s)], int(s), cfg.k)
-            errs.append(e)
-            precs.append(p)
-            times.append(r.seconds_total)
-            capped = capped or (r.effective_eps > eps)
-            bytes_used = max(bytes_used, r.memory_bytes())
-        rows.append(
-            Row(
-                graph.name,
-                name,
-                f"eps={eps:.0e}",
-                0.0,
-                float(np.mean(times)),
-                0,  # index-free method
-                float(np.mean(errs)),
-                float(np.mean(precs)),
-                note=("capped" if capped else "") + f" mem={bytes_used/1e6:.1f}MB",
-            )
-        )
+        results = [(int(s), exactsim(graph, int(s), eps=eps, variant=variant,
+                                     seed=cfg.seed, max_pairs=cfg.max_pairs))
+                   for s in sources]
+        runs = [(s, r.scores, r.seconds_total) for s, r in results]
+        capped = any(r.effective_eps > eps for _, r in results)
+        bytes_used = max((r.memory_bytes() for _, r in results), default=0)
+        note = ("capped" if capped else "") + f" mem={bytes_used/1e6:.1f}MB"
+        rows.append(_row(graph, name, f"eps={eps:.0e}", runs, truth, cfg.k, note=note))
     return rows
 
 
@@ -169,25 +174,9 @@ def sweep_parsim(
 ) -> List[Row]:
     rows = []
     for L in cfg.parsim_L:
-        errs, precs, times = [], [], []
-        for s in sources:
-            r = parsim.parsim(graph, int(s), L=L, c=C)
-            e, p = _evaluate(r.scores, truth[int(s)], int(s), cfg.k)
-            errs.append(e)
-            precs.append(p)
-            times.append(r.seconds)
-        rows.append(
-            Row(
-                graph.name,
-                "ParSim",
-                f"L={L}",
-                0.0,
-                float(np.mean(times)),
-                0,
-                float(np.mean(errs)),
-                float(np.mean(precs)),
-            )
-        )
+        results = [(int(s), parsim.parsim(graph, int(s), L=L, c=C)) for s in sources]
+        runs = [(s, r.scores, r.seconds) for s, r in results]
+        rows.append(_row(graph, "ParSim", f"L={L}", runs, truth, cfg.k))
     return rows
 
 
@@ -197,35 +186,16 @@ def sweep_mc(
     truth: Dict[int, np.ndarray],
     cfg: SweepConfig,
 ) -> List[Row]:
-    rows = []
-    for r_per_node in cfg.mc_r:
+    def build(r_per_node):
         if r_per_node * graph.n > cfg.max_pairs * 4:
-            rows.append(
-                Row(graph.name, "MC", f"r={r_per_node}", np.nan, np.nan, 0,
-                    np.nan, np.nan, note="omitted (budget)")
+            raise BudgetExceeded(
+                f"MC would store {r_per_node * graph.n:.2e} walks "
+                f"(cap {cfg.max_pairs * 4:.2e})"
             )
-            continue
-        idx = mc.preprocess(graph, r_per_node=r_per_node, c=C, seed=cfg.seed)
-        errs, precs, times = [], [], []
-        for s in sources:
-            res = mc.query(graph, idx, int(s))
-            e, p = _evaluate(res.scores, truth[int(s)], int(s), cfg.k)
-            errs.append(e)
-            precs.append(p)
-            times.append(res.seconds_query)
-        rows.append(
-            Row(
-                graph.name,
-                "MC",
-                f"r={r_per_node}",
-                idx.seconds_preprocess,
-                float(np.mean(times)),
-                idx.index_bytes(),
-                float(np.mean(errs)),
-                float(np.mean(precs)),
-            )
-        )
-    return rows
+        return mc.preprocess(graph, r_per_node=r_per_node, c=C, seed=cfg.seed)
+
+    return _sweep_index(graph, sources, truth, cfg, "MC", "r={}", cfg.mc_r, build,
+                        partial(mc.query, graph))
 
 
 def sweep_linearization(
@@ -234,39 +204,14 @@ def sweep_linearization(
     truth: Dict[int, np.ndarray],
     cfg: SweepConfig,
 ) -> List[Row]:
-    rows = []
-    for eps in cfg.linearization_eps:
-        try:
-            idx = linearization.preprocess(
-                graph, eps=eps, c=C, seed=cfg.seed,
-                max_pairs=cfg.max_pairs,
-            )
-        except linearization.BudgetExceeded:
-            rows.append(
-                Row(graph.name, "Linearization", f"eps={eps:.0e}", np.nan,
-                    np.nan, 0, np.nan, np.nan, note="omitted (budget)")
-            )
-            continue
-        errs, precs, times = [], [], []
-        for s in sources:
-            res = linearization.query(graph, idx, int(s), c=C)
-            e, p = _evaluate(res.scores, truth[int(s)], int(s), cfg.k)
-            errs.append(e)
-            precs.append(p)
-            times.append(res.seconds_query)
-        rows.append(
-            Row(
-                graph.name,
-                "Linearization",
-                f"eps={eps:.0e}",
-                idx.seconds_preprocess,
-                float(np.mean(times)),
-                idx.index_bytes(),
-                float(np.mean(errs)),
-                float(np.mean(precs)),
-            )
-        )
-    return rows
+    return _sweep_index(
+        graph, sources, truth, cfg, "Linearization", "eps={:.0e}",
+        cfg.linearization_eps,
+        lambda eps: linearization.preprocess(
+            graph, eps=eps, c=C, seed=cfg.seed, max_pairs=cfg.max_pairs
+        ),
+        partial(linearization.query, graph, c=C),
+    )
 
 
 def sweep_prsim(
@@ -275,40 +220,15 @@ def sweep_prsim(
     truth: Dict[int, np.ndarray],
     cfg: SweepConfig,
 ) -> List[Row]:
-    rows = []
-    for eps in cfg.prsim_eps:
-        try:
-            idx = prsim.preprocess(
-                graph, eps=eps, c=C, seed=cfg.seed,
-                max_entries=cfg.max_index_entries, max_pairs=cfg.max_pairs,
-                max_push_edges=cfg.max_push_edges,
-            )
-        except prsim.BudgetExceeded:
-            rows.append(
-                Row(graph.name, "PRSim-lite", f"eps={eps:.0e}", np.nan,
-                    np.nan, 0, np.nan, np.nan, note="omitted (budget)")
-            )
-            continue
-        errs, precs, times = [], [], []
-        for s in sources:
-            res = prsim.query(graph, idx, int(s), c=C)
-            e, p = _evaluate(res.scores, truth[int(s)], int(s), cfg.k)
-            errs.append(e)
-            precs.append(p)
-            times.append(res.seconds_query)
-        rows.append(
-            Row(
-                graph.name,
-                "PRSim-lite",
-                f"eps={eps:.0e}",
-                idx.seconds_preprocess,
-                float(np.mean(times)),
-                idx.index_bytes(),
-                float(np.mean(errs)),
-                float(np.mean(precs)),
-            )
-        )
-    return rows
+    return _sweep_index(
+        graph, sources, truth, cfg, "PRSim-lite", "eps={:.0e}", cfg.prsim_eps,
+        lambda eps: prsim.preprocess(
+            graph, eps=eps, c=C, seed=cfg.seed,
+            max_entries=cfg.max_index_entries, max_pairs=cfg.max_pairs,
+            max_push_edges=cfg.max_push_edges,
+        ),
+        partial(prsim.query, graph, c=C),
+    )
 
 
 def sweep_all(
@@ -318,11 +238,11 @@ def sweep_all(
     cfg: SweepConfig,
 ) -> List[Row]:
     """Every method's full sweep — the rows behind Figures 1/2 (5/6)."""
-    rows: List[Row] = []
-    rows += sweep_exactsim(graph, sources, truth, cfg, variant="opt")
-    rows += sweep_exactsim(graph, sources, truth, cfg, variant="basic")
-    rows += sweep_parsim(graph, sources, truth, cfg)
-    rows += sweep_mc(graph, sources, truth, cfg)
-    rows += sweep_linearization(graph, sources, truth, cfg)
-    rows += sweep_prsim(graph, sources, truth, cfg)
-    return rows
+    return (
+        sweep_exactsim(graph, sources, truth, cfg, variant="opt")
+        + sweep_exactsim(graph, sources, truth, cfg, variant="basic")
+        + sweep_parsim(graph, sources, truth, cfg)
+        + sweep_mc(graph, sources, truth, cfg)
+        + sweep_linearization(graph, sources, truth, cfg)
+        + sweep_prsim(graph, sources, truth, cfg)
+    )

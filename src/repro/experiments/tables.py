@@ -11,6 +11,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import metrics
 from repro.core import linearized
 from repro.core.exactsim import exactsim
 from repro.experiments import harness
@@ -146,7 +147,7 @@ def ablation_rows(
                 r = exactsim(
                     g, int(s), eps=eps, variant=variant, seed=seed, max_pairs=max_pairs
                 )
-                errs.append(float(np.max(np.abs(r.scores - truth[int(s)]))))
+                errs.append(metrics.max_error(r.scores, truth[int(s)]))
                 times.append(r.seconds_total)
                 sims.append(r.pairs_simulated)
             rows.append(

@@ -84,6 +84,37 @@ def test_sweep_prsim_rows(gq_truth):
     assert rows[0].max_error <= 1e-1
 
 
+def test_sweep_all_rows_and_omissions(gq_truth):
+    g, sources, truth = gq_truth
+    cfg = harness.SweepConfig(
+        max_pairs=1_000_000, max_index_entries=2_000_000,
+        exactsim_eps=(1e-1,), exactsim_basic_eps=(1e-1,), parsim_L=(2,),
+        mc_r=(10, 1_000_000), linearization_eps=(1e-1, 1e-3), prsim_eps=(1e-1,),
+    )
+    rows = harness.sweep_all(g, sources, truth, cfg)
+    assert [(r.method, r.param) for r in rows] == [
+        ("ExactSim", "eps=1e-01"),
+        ("ExactSim-basic", "eps=1e-01"),
+        ("ParSim", "L=2"),
+        ("MC", "r=10"),
+        ("MC", "r=1000000"),
+        ("Linearization", "eps=1e-01"),
+        ("Linearization", "eps=1e-03"),
+        ("PRSim-lite", "eps=1e-01"),
+    ]
+    assert all(r.dataset == g.name for r in rows)
+    omitted = [r for r in rows if r.note == "omitted (budget)"]
+    assert [(r.method, r.param) for r in omitted] == [
+        ("MC", "r=1000000"), ("Linearization", "eps=1e-03"),
+    ]
+    for r in rows:
+        fields = [r.preprocess_s, r.query_s, r.max_error, r.precision_at_k]
+        if r.note == "omitted (budget)":
+            assert np.all(np.isnan(fields)) and r.index_bytes == 0
+        else:
+            assert np.all(np.isfinite(fields)), r.fmt()
+
+
 def test_row_formatting(gq_truth):
     g, sources, truth = gq_truth
     cfg = harness.SweepConfig(parsim_L=(5,))
