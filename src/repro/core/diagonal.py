@@ -108,8 +108,9 @@ def estimate_D_mc(
         )
         return 1.0 - met / r, np.zeros_like(r), r
 
-    stats = pair_walks.simulate_pairs(graph, nodes, counts, estimate, seed=seed, engine=engine)
-    d_hat[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
+    d_hat[nodes] = pair_walks.simulate_pairs(
+        graph, nodes, counts, estimate, seed=seed, engine=engine
+    )[0]
     return d_hat
 
 

@@ -22,7 +22,8 @@ the ``R(k)`` pairs — exactly Algorithm 3's budget rule.  Every node with
 ``d_in(k) > 1`` then walks its ``⌈R(k)·c^{ℓ(k)}⌉`` tail pairs.
 
 Nodes run in Algorithm 2's batches (``pair_walks.simulate_pairs``, §3.2
-"Parallelization"); :func:`estimate_batch` is the per-batch estimator.  A
+"Parallelization"); :func:`estimate_batch` is the per-batch estimator, and
+returns numpy arrays aligned with its batch's nodes.  A
 node whose level 1 alone costs more than its budget — the first test
 ``meeting_head`` makes — keeps ``ℓ(k) = 0`` without a head call.  A node
 that affords level 1 but not level 2 gets ``ℓ(k) = 1`` and its ``Z_1(k)``
@@ -174,7 +175,7 @@ def estimate_batch(
     *,
     c: float,
     rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> pair_walks.Estimates:
     """Full Algorithm 3 for a batch of nodes: heads, then the tails.
 
     Returns ``(D̂(k,k), ℓ(k), pairs actually simulated)`` arrays aligned
@@ -254,12 +255,16 @@ def estimate_D_local_push(
     """Estimate ``D̂`` for the given nodes with Algorithm 3.
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
-    ``(node, d_hat, ell, pairs)``.  The batches run through
+    ``(node, d_hat, ell, pairs)`` (int64, float64, int64, int64), one row
+    per entry of ``nodes`` in their order.  The batches run through
     ``pair_walks.simulate_pairs``; ``engine`` (``'local'`` or ``'spark'``)
     picks where, and both engines agree exactly.
     """
     estimate = functools.partial(estimate_batch, c=c)
-    stats = pair_walks.simulate_pairs(graph, nodes, counts, estimate, seed=seed, engine=engine)
+    d_hat, ell, pairs = pair_walks.simulate_pairs(
+        graph, nodes, counts, estimate, seed=seed, engine=engine
+    )
     d = np.full(graph.n, 1.0 - c)
-    d[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
-    return d, stats
+    d[nodes] = d_hat
+    node = np.asarray(nodes, dtype=np.int64)
+    return d, pd.DataFrame({"node": node, "d_hat": d_hat, "ell": ell, "pairs": pairs})

@@ -2,8 +2,9 @@
 
 A :class:`Graph` holds its edge set as numpy arrays (edge lists, in-degrees,
 in- and out-adjacency CSR) — the vectorized kernel side, broadcast once per
-graph to executors for the D-estimation phase (:func:`run_partitioned` tasks
-index into them directly).  ``edges_pdf()`` is the DuckDB oracle's input.
+graph to executors for the D-estimation phase (the per-item kernels that
+:func:`run_partitioned` runs index into them directly).  ``edges_pdf()`` is
+the DuckDB oracle's input.
 
 Edge semantics follow the paper: a directed edge ``u -> v`` makes ``u`` an
 *in-neighbor* of ``v`` (``u ∈ I(v)``).  The reverse transition matrix is
@@ -14,7 +15,7 @@ present, so ``I(v)`` equals the neighbor set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 import pandas as pd
@@ -140,37 +141,37 @@ class Graph:
 
 def run_partitioned(
     graph: Graph,
-    work: pd.DataFrame,
-    kernel: Callable[[CSRGraph, pd.DataFrame], pd.DataFrame],
+    items: list,
+    kernel: Callable[[CSRGraph, Any], Any],
     engine: str,
-) -> pd.DataFrame:
-    """Apply a per-row ``kernel(csr, rows) -> frame`` to every row of ``work``.
+) -> list:
+    """``kernel(csr, item)`` for every item, in-process or on Spark.
 
-    ``engine='local'`` calls the kernel once in-process.  ``engine='spark'``
-    deals the rows round-robin into ``par = max(2, defaultParallelism)``
-    groups (at most one per row) and runs them as one RDD job of ``par``
-    tasks: row ``i`` lands in partition ``i % par``, where the kernel runs on
-    it against the broadcast CSR graph.  The kernel frames come back pickled,
-    dtypes included, and are concatenated — the paper's parallelization of
-    the D estimation (§3.2).  An empty ``work`` frame runs no job: the kernel
-    gets it in-process.  Row order in the result is unspecified; a kernel
-    that draws random numbers must seed them per row so both engines return
-    the same rows.
+    ``engine='local'`` calls the kernel on each item in turn.
+    ``engine='spark'`` deals the items round-robin into ``par = max(2,
+    defaultParallelism)`` groups (at most one per item) and runs them as one
+    RDD job of ``par`` tasks: item ``i`` lands in partition ``i % par``, where
+    the kernel runs on it against the broadcast CSR graph, and the results
+    come back pickled — the paper's parallelization of the D estimation
+    (§3.2).  An empty list runs no job.  Result order is unspecified, so a
+    result should name its item; a kernel that draws random numbers must seed
+    them per item so both engines return the same results.
     """
-    if engine == "local":
-        return kernel(graph.csr, work)
-    if engine != "spark":
+    if engine not in ("local", "spark"):
         raise ValueError(f"unknown engine {engine!r}")
-    if work.empty:
-        return kernel(graph.csr, work)
+    if engine == "local" or not items:
+        return [kernel(graph.csr, item) for item in items]
     bc = graph.broadcast_csr()
     sc = graph.spark.sparkContext
     # One task per core: each Python task holds a core for a fixed start-up
-    # cost, so one task per row would queue most rows behind that cost.
-    par = min(max(2, sc.defaultParallelism), len(work))
-    groups = [work.iloc[i::par] for i in range(par)]
-    frames = sc.parallelize(groups, par).map(lambda rows: kernel(bc.value, rows)).collect()
-    return pd.concat(frames, ignore_index=True)
+    # cost, so one task per item would queue most items behind that cost.
+    par = min(max(2, sc.defaultParallelism), len(items))
+    groups = [items[i::par] for i in range(par)]
+    return (
+        sc.parallelize(groups, par)
+        .flatMap(lambda group: [kernel(bc.value, item) for item in group])
+        .collect()
+    )
 
 
 def from_edges(

@@ -18,18 +18,19 @@ short); ``count_meetings`` cuts a batch of nodes' pairs into slices of
 one thread per core (the kernel's numpy calls release the GIL), and counts
 the meetings back per node.  Both algorithms run the same way (§3.2
 "Parallelization"): ``simulate_pairs`` deals the nodes into :data:`BATCHES`
-work rows (``make_assignments``) and runs a per-batch estimator on every
-row, in-process or on Spark through ``graphs.graph.run_partitioned``.
+batches (``make_assignments``, each batch an array of positions in the
+nodes) and runs a per-batch estimator on each, in-process or on Spark
+through ``graphs.graph.run_partitioned``; the estimates come back as numpy
+arrays aligned with the nodes.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
-import pandas as pd
 
 from repro.graphs.graph import CSRGraph, Graph, run_partitioned
 
@@ -49,13 +50,14 @@ WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 )
 
-#: Work rows of the D estimation.  Nodes sorted by ``R(k)`` are dealt
+#: Batches of the D estimation.  Nodes sorted by ``R(k)`` are dealt
 #: round-robin into this many batches on both engines, so both draw the same
 #: streams.
 BATCHES = 16
 
-#: Columns of :func:`simulate_pairs`' result, one row per node.
-STATS_DTYPES = {"node": np.int64, "d_hat": np.float64, "ell": np.int64, "pairs": np.int64}
+#: ``(D̂(k,k), ℓ(k), pairs simulated)`` per node, as a batch estimator and
+#: :func:`simulate_pairs` return them.
+Estimates = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def pair_meet_count(
@@ -168,61 +170,50 @@ def count_meetings(
 # ---------------------------------------------------------------------------
 
 
-def make_assignments(nodes: np.ndarray, pairs: np.ndarray) -> pd.DataFrame:
-    """Work rows ``(batch, node[], r_k[])`` for the D estimation.
+def make_assignments(pairs: np.ndarray) -> List[np.ndarray]:
+    """The batches of the D estimation, as positions in ``pairs``.
 
-    The nodes, sorted by ``R(k)`` descending, are dealt round-robin into at
-    most :data:`BATCHES` batches, so every batch gets a share of the large
-    and of the small allocations.
+    The positions, sorted by ``R(k) = pairs[i]`` descending, are dealt
+    round-robin into at most :data:`BATCHES` batches, so every batch gets a
+    share of the large and of the small allocations.
     """
     order = np.argsort(pairs, kind="stable")[::-1]
-    nodes = np.asarray(nodes, dtype=np.int64)[order]
-    pairs = np.asarray(pairs, dtype=np.int64)[order]
-    batches = range(min(BATCHES, nodes.size))
-    return pd.DataFrame(
-        {
-            "batch": list(batches),
-            "node": [nodes[b::BATCHES].tolist() for b in batches],
-            "r_k": [pairs[b::BATCHES].tolist() for b in batches],
-        }
-    )
+    return [order[b::BATCHES] for b in range(min(BATCHES, order.size))]
 
 
 def simulate_pairs(
     graph: Graph,
     nodes: np.ndarray,
     counts: np.ndarray,
-    estimate: Callable[..., Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    estimate: Callable[..., Estimates],
     *,
     seed: int,
     engine: str,
-) -> pd.DataFrame:
+) -> Estimates:
     """Run a per-batch D estimator over ``nodes`` and their ``R(k)`` counts.
 
     The nodes are dealt into batches by :func:`make_assignments`.
     ``estimate(csr, nodes, r_k, rng=...)`` returns ``(D̂(k,k), ℓ(k), pairs
-    simulated)`` arrays aligned with the batch's ``nodes``.  The result has
-    one row per node, ``(node, d_hat, ell, pairs)`` with the dtypes of
-    :data:`STATS_DTYPES`, sorted by node (empty for no nodes).  Batch
-    ``b``'s estimator gets the generator ``np.random.default_rng([seed, b])``
-    (``seed >= 0``), whose children ``count_meetings`` hands to the batch's
-    slices: re-running a configuration replays the same walks, no two
-    slices share a stream, and ``engine='spark'`` (rows spread over the
-    cluster with :func:`run_partitioned`) and ``engine='local'`` return
-    identical rows.
+    simulated)`` arrays aligned with the batch's ``nodes``, and so does this
+    function for all of ``nodes`` (float64, int64, int64; empty for no
+    nodes).  Batch ``b``'s estimator gets the generator
+    ``np.random.default_rng([seed, b])`` (``seed >= 0``), whose children
+    ``count_meetings`` hands to the batch's slices: re-running a
+    configuration replays the same walks, no two slices share a stream, and
+    ``engine='spark'`` (batches spread over the cluster with
+    :func:`run_partitioned`) and ``engine='local'`` return identical arrays.
     """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
 
-    def kernel(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        # Each column starts with an empty array of its dtype, so a kernel
-        # given no rows returns an empty frame with the same dtypes.
-        cols = [[np.zeros(0, dtype)] for dtype in STATS_DTYPES.values()]
-        for row in pdf.itertuples(index=False):
-            members = np.asarray(row.node, dtype=np.int64)
-            r_k = np.asarray(row.r_k, dtype=np.int64)
-            rng = np.random.default_rng([seed, int(row.batch)])
-            for col, values in zip(cols, (members, *estimate(csr, members, r_k, rng=rng))):
-                col.append(values)
-        return pd.DataFrame({name: np.concatenate(col) for name, col in zip(STATS_DTYPES, cols)})
+    def kernel(csr: CSRGraph, item: Tuple[int, np.ndarray]):
+        b, pos = item
+        rng = np.random.default_rng([seed, b])
+        return pos, estimate(csr, nodes[pos], counts[pos], rng=rng)
 
-    work = make_assignments(nodes, counts)
-    return run_partitioned(graph, work, kernel, engine).sort_values("node").reset_index(drop=True)
+    out = (np.zeros(nodes.size), np.zeros(nodes.size, np.int64), np.zeros(nodes.size, np.int64))
+    items = list(enumerate(make_assignments(counts)))
+    for pos, values in run_partitioned(graph, items, kernel, engine):
+        for col, v in zip(out, values):
+            col[pos] = v
+    return out

@@ -162,18 +162,11 @@ def test_graph_without_spark_session_raises():
 # ---------------------------------------------------------------------------
 
 
-def _degree_kernel(csr, pdf: pd.DataFrame) -> pd.DataFrame:
-    """Toy per-row kernel: each node's in-degree, tagged with the Spark
-    partition that computed it (-1 in-process)."""
+def _degree_kernel(csr, node: int) -> tuple:
+    """Toy per-item kernel: a node's in-degree, tagged with the node and
+    with the Spark partition that computed it (-1 in-process)."""
     ctx = TaskContext.get()
-    nodes = pdf["node"].to_numpy()
-    return pd.DataFrame(
-        {
-            "node": nodes,
-            "din": csr.din[nodes],
-            "part": ctx.partitionId() if ctx is not None else -1,
-        }
-    )
+    return node, csr.din[node], ctx.partitionId() if ctx is not None else -1
 
 
 def _group_jobs(sc, group: str) -> list:
@@ -192,21 +185,49 @@ def _group_jobs(sc, group: str) -> list:
 
 def test_run_partitioned_engines_agree_and_fill_every_partition(spark):
     g = gen.load("GQ-lite", spark)
-    work = pd.DataFrame({"node": np.arange(40, dtype=np.int64)})
-    local = run_partitioned(g, work, _degree_kernel, "local")
+    items = list(range(40))
+    local = run_partitioned(g, items, _degree_kernel, "local")
+    assert local == [(node, g.csr.din[node], -1) for node in items]
     sc = spark.sparkContext
     sc.setJobGroup("run_partitioned", "one call")
     try:
-        dist = run_partitioned(g, work, _degree_kernel, "spark")
+        dist = run_partitioned(g, items, _degree_kernel, "spark")
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    cols = ["node", "din"]
-    a = local[cols].sort_values("node").reset_index(drop=True)
-    b = dist[cols].sort_values("node").reset_index(drop=True)
-    assert a.equals(b)
-    assert dist.dtypes.equals(local.dtypes)
+    # Each result names its item, whatever order the partitions come back in.
+    assert sorted(r[:2] for r in dist) == [r[:2] for r in local]
+    assert all(type(din) is np.int64 for _, din, _ in dist)
     par = max(2, sc.defaultParallelism)
-    assert sorted(dist["part"].unique()) == list(range(par))
-    # Row i holds node i and is dealt to partition i % par.
-    assert (dist["part"] == dist["node"] % par).all()
+    assert sorted({part for *_, part in dist}) == list(range(par))
+    # Item i is node i and is dealt to partition i % par.
+    assert all(part == node % par for node, _, part in dist)
     assert _group_jobs(sc, "run_partitioned") == [[par]]
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_partitioned(g, [], _degree_kernel, "dask")
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_run_partitioned_maps_few_items_back(spark, count):
+    """Fewer items than cores: one task per item, and every numpy item comes
+    back with its own result, as in-process."""
+    g = gen.load("GQ-lite", spark)
+    items = [np.arange(5 * i, 5 * i + i + 2) for i in range(count)]
+
+    def kernel(csr, item):
+        return item, csr.din[item]
+
+    local = run_partitioned(g, items, kernel, "local")
+    sc = spark.sparkContext
+    group = f"run_partitioned_{count}"
+    sc.setJobGroup(group, "few items")
+    try:
+        dist = run_partitioned(g, items, kernel, "spark")
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(dist) == len(local) == count
+    dist.sort(key=lambda r: r[0][0])
+    for (item, din), (want_item, want_din) in zip(dist, local):
+        np.testing.assert_array_equal(item, want_item)
+        np.testing.assert_array_equal(din, g.csr.din[item])
+        np.testing.assert_array_equal(din, want_din)
+    assert _group_jobs(sc, group) == [[min(max(2, sc.defaultParallelism), count)]]

@@ -1,4 +1,5 @@
 """Algorithm 3: Lemma-4 heads, adaptive budgets, tail sampling, Spark driver."""
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from tests.helpers import exact_d
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
 from repro.linalg import matvec as mv
+from repro.walks import pair_walks
 
 C = 0.6
 TINY = [gen.tiny_cycle(4), gen.tiny_star(3), gen.tiny_star(5)]
@@ -500,8 +502,9 @@ def test_estimate_D_local_push_spark_matches_local(spark):
 
 @pytest.mark.parametrize("engine", ["local", "spark"])
 def test_estimate_D_local_push_no_nodes(spark, monkeypatch, engine):
-    """An empty node set gives the default ``1-c`` everywhere and an empty,
-    typed stats frame; Spark runs no job for it."""
+    """An empty node set gives the default ``1-c`` everywhere, an empty,
+    typed stats frame and empty, typed ``simulate_pairs`` arrays; Spark runs
+    no job for it."""
     g = gen.load("GQ-lite", spark)
 
     def no_job(*args, **kwargs):
@@ -515,3 +518,8 @@ def test_estimate_D_local_push_no_nodes(spark, monkeypatch, engine):
     assert stats.dtypes.to_dict() == {
         "node": np.int64, "d_hat": np.float64, "ell": np.int64, "pairs": np.int64
     }
+    estimate = functools.partial(local_push.estimate_batch, c=C)
+    arrays = pair_walks.simulate_pairs(g, empty, empty, estimate, seed=1, engine=engine)
+    assert [(a.size, a.dtype) for a in arrays] == [
+        (0, np.float64), (0, np.int64), (0, np.int64)
+    ]

@@ -227,24 +227,23 @@ def test_exactsim_scores_do_not_depend_on_workers(monkeypatch):
 
 
 def test_make_assignments_deals_batches_and_determinism():
-    """Nodes sorted by R(k), largest first, are dealt round-robin into at
-    most BATCHES rows: every node lands in exactly one row, the largest
-    allocations open one row each, and row sizes differ by at most one."""
-    nodes = np.arange(40, dtype=np.int64) + 100
+    """Positions sorted by R(k), largest first, are dealt round-robin into at
+    most BATCHES batches: every position lands in exactly one batch, the
+    largest allocations open one batch each, and batch sizes differ by at
+    most one."""
     pairs = (np.arange(40, dtype=np.int64) * 37) % 41 + 1  # distinct
-    a = pair_walks.make_assignments(nodes, pairs)
-    b = pair_walks.make_assignments(nodes, pairs)
-    assert a.equals(b)
-    assert a["batch"].tolist() == list(range(pair_walks.BATCHES))
-    assert sorted(np.concatenate(a["node"].tolist()).tolist()) == nodes.tolist()
-    for node, r_k in zip(a["node"], a["r_k"]):
-        assert r_k == pairs[np.asarray(node) - 100].tolist()
-        assert r_k == sorted(r_k, reverse=True)
-    firsts = sorted(r_k[0] for r_k in a["r_k"])
+    a = pair_walks.make_assignments(pairs)
+    b = pair_walks.make_assignments(pairs)
+    assert len(a) == len(b) == pair_walks.BATCHES
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert sorted(np.concatenate(a).tolist()) == list(range(40))
+    for pos in a:
+        assert pairs[pos].tolist() == sorted(pairs[pos].tolist(), reverse=True)
+    firsts = sorted(pairs[pos[0]] for pos in a)
     assert firsts == sorted(pairs)[-pair_walks.BATCHES:]
-    assert a["node"].map(len).tolist() == [3] * 8 + [2] * 8
-    few = pair_walks.make_assignments(nodes[:3], pairs[:3])
-    assert few["node"].map(len).tolist() == [1, 1, 1]
+    assert [pos.size for pos in a] == [3] * 8 + [2] * 8
+    few = pair_walks.make_assignments(pairs[:3])
+    assert [pos.size for pos in few] == [1, 1, 1]
 
 
 def test_simulate_pairs_streams_distinct_across_batches(monkeypatch):
@@ -280,8 +279,8 @@ def test_simulate_pairs_streams_distinct_across_batches(monkeypatch):
     # Batch b holds 3 or 2 nodes: 900 or 600 pairs, in 4 or 3 slices of 250;
     # slice j starts the batch's pairs j·250 onwards and walks child j.
     expected = []
-    for b, members in enumerate(pair_walks.make_assignments(nodes, counts)["node"]):
-        starts = np.repeat(members, 300)
+    for b, pos in enumerate(pair_walks.make_assignments(counts)):
+        starts = np.repeat(nodes[pos], 300)
         expected += [
             ((5, b), (j,), tuple(starts[first:first + 250]))
             for j, first in enumerate(range(0, starts.size, 250))
@@ -292,7 +291,8 @@ def test_simulate_pairs_streams_distinct_across_batches(monkeypatch):
 
 
 def test_simulate_pairs_local_aggregates():
-    """One stats row per node, sorted by node, from every batch's estimate."""
+    """Every batch's estimates come back aligned with the input nodes, in
+    their (unsorted) order, also when a batch holds several nodes."""
     g = gen.load("GQ-lite")
     nodes = np.array([9, 3, 40, 7], dtype=np.int64)
     pairs = np.array([100, 50, 70, 5], dtype=np.int64)
@@ -300,11 +300,17 @@ def test_simulate_pairs_local_aggregates():
     def estimate(csr, members, r, *, rng):
         return members / 100.0, members % 2, r
 
-    res = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=1, engine="local")
-    assert res["node"].tolist() == [3, 7, 9, 40]
-    assert res["pairs"].tolist() == [50, 5, 100, 70]
-    assert res["d_hat"].tolist() == [0.03, 0.07, 0.09, 0.4]
-    assert res["ell"].tolist() == [1, 1, 1, 0]
+    d_hat, ell, sim = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=1, engine="local")
+    assert d_hat.tolist() == [0.09, 0.03, 0.4, 0.07]
+    assert ell.tolist() == [1, 1, 0, 1]
+    assert sim.tolist() == [100, 50, 70, 5]
+    # 40 nodes: every batch holds 2-3 of them, dealt in R(k) order.
+    nodes = np.random.default_rng(0).permutation(200)[:40]
+    pairs = (np.arange(40) * 37) % 41 + 1
+    d_hat, ell, sim = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=1, engine="local")
+    np.testing.assert_array_equal(d_hat, nodes / 100.0)
+    np.testing.assert_array_equal(ell, nodes % 2)
+    np.testing.assert_array_equal(sim, pairs)
 
 
 def test_simulate_pairs_spark_matches_local(spark):
@@ -324,7 +330,10 @@ def test_simulate_pairs_spark_matches_local(spark):
 
     a = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=11, engine="local")
     b = pair_walks.simulate_pairs(g, nodes, pairs, estimate, seed=11, engine="spark")
-    assert a.equals(b)
+    assert len(a) == len(b) == 3
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
 
 
 def test_traced_walk_calls_stay_within_chunk(monkeypatch):
