@@ -9,8 +9,9 @@ computed as a *forward* phase (the ℓ-hop PPR vectors, Algorithm 1 lines 2-5)
 and a *backward* phase (lines 9-13).  Setting ``L = ⌈log_{1/c}(2/ε)⌉`` bounds
 the truncation error by ``c^L <= ε/2``.
 
-Each forward hop is one ``linalg.matvec.expand_sparse`` local push from the
-previous hop's support, stored as an ``(idx, val)`` pair; once the Lemma-2
+Each forward hop is one ``linalg.matvec.push_blocks`` local push from the
+previous hop's support, taken as its one block (a hop is one row, and a row
+is never split), and stored as an ``(idx, val)`` pair; once the Lemma-2
 threshold empties a hop, the remaining hops are stored empty, unpushed.
 Without a threshold (basic ExactSim, ParSim, Linearization) the vectors fill
 up, which is the ``O(n log 1/ε)`` memory of the basic variant; the optimized
@@ -96,7 +97,8 @@ def forward(
         if not idx.size:  # the threshold emptied the frontier: so are the rest
             levels += [(idx, val)] * (L - hop)
             break
-        idx, val, cost = mv.expand_sparse(csr, idx, val)
+        # One vector is one row, and push_blocks never splits a row.
+        idx, val, cost = next(mv.push_blocks(csr, idx, val), (idx[:0], val[:0], 0))
         val = sqrt_c * val
         keep = val > threshold
         idx, val = idx[keep], val[keep]

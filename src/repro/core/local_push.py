@@ -65,15 +65,12 @@ MAX_LEVEL = 40
 class HeadResult:
     """Deterministic head of the first-meeting series for one node."""
 
-    node: int
     ell: int  # ℓ(k): levels computed exactly
     z_sum: float  # Σ_{ℓ<=ℓ(k)} Z_ℓ(k)
     edges: int  # E_k actually traversed
 
 
-def meeting_head(
-    csr: CSRGraph, k: int, *, c: float, budget_edges: int, max_level: int = MAX_LEVEL
-) -> HeadResult:
+def meeting_head(csr: CSRGraph, k: int, *, c: float, budget_edges: int) -> HeadResult:
     """Exact ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` with adaptive depth under an edge budget.
 
     Row ``r`` holds ``M^{ℓ-t_r}(q_r,·)`` entering level ``ℓ``: the node's own
@@ -87,10 +84,10 @@ def meeting_head(
     entries), so the budget check aborts a level without partial work,
     mirroring Algorithm 3's ``E_k`` counter at level granularity.
 
-    A level is streamed through ``expand_sparse``'s cache-sized blocks
-    (``linalg.matvec.push_blocks``): each block's Lemma-4 terms go straight
-    into ``Z_ℓ``, and its entries are kept for the next level, which is
-    joined only once the level has ended and the next one is affordable.
+    A level is streamed through ``linalg.matvec.push_blocks``' cache-sized
+    blocks: each block's Lemma-4 terms go straight into ``Z_ℓ``, and its
+    entries are kept for the next level, which is joined only once the
+    level has ended and the next one is affordable.
     A level of at least ``n`` pushed edges sums ``Z_ℓ`` into a dense vector
     with ``np.add.at``, a smaller one collects its terms for one
     ``accumulate``; both add each node's terms in input order, as one
@@ -100,7 +97,7 @@ def meeting_head(
     level only adds its ``Z_ℓ`` terms.
     """
     n = csr.n
-    c_pow = np.array([c**j for j in range(max_level + 1)])
+    c_pow = np.array([c**j for j in range(MAX_LEVEL + 1)])
     keys = np.array([k], dtype=np.int64)
     val = np.ones(1)
     birth = np.zeros(1, dtype=np.int64)  # t_r
@@ -109,13 +106,13 @@ def meeting_head(
     z_sum = 0.0
     edges = 0
     ell_done = 0
-    for ell in range(1, max_level + 1):
+    for ell in range(1, MAX_LEVEL + 1):
         if edges + cost > budget_edges:
             break  # unaffordable level: ℓ(k) stays at ell-1 (0 ⇒ Algorithm 2)
         edges += cost
         # Edges the next level may cost; no next level once they run out.
         room = budget_edges - edges
-        store = ell < max_level and c**ell >= PRUNE
+        store = ell < MAX_LEVEL and c**ell >= PRUNE
         next_cost = 0
         kept_keys, kept_val = [], []
         dense = cost >= n
@@ -165,7 +162,7 @@ def meeting_head(
         cost = next_cost
         if not keys.size:
             break
-    return HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
+    return HeadResult(ell=ell_done, z_sum=z_sum, edges=edges)
 
 
 def estimate_batch(

@@ -65,7 +65,6 @@ def table3_rows(
     *,
     eps_mem: float = 1e-5,
     datasets: Optional[Sequence[str]] = None,
-    source: Optional[int] = None,
 ) -> List[Dict]:
     """Table 3 analog: ℓ-hop-vector memory, basic vs optimized vs graph size.
 
@@ -80,7 +79,7 @@ def table3_rows(
     rows = []
     for name in datasets or gen.LARGE_DATASETS:
         g = gen.load(name)
-        src = harness.pick_sources(g, 1)[0] if source is None else source
+        src = harness.pick_sources(g, 1)[0]
         eps_int = eps_mem / 2.0
         L = linearized.iterations_for(eps_int, C)
         thr = linearized.sparse_threshold(eps_int, C)
@@ -124,21 +123,18 @@ def ablation_rows(
     max_pairs: int = 2_000_000,
     n_sources: int = 2,
     seed: int = 11,
-    truth: Optional[Dict[int, np.ndarray]] = None,
+    truth: Dict[int, np.ndarray],
 ) -> List[Dict]:
     """Figure 9 analog: basic vs optimized ExactSim, same ε and pair cap.
 
     Reports measured MaxError and wall time per variant; the paper's claim is
     a 10-100× speedup at matched error, which shows up here as the optimized
     variant reaching a several-× smaller error in comparable or less time.
+    The first ``n_sources`` sources of ``truth`` (source → its true column)
+    are queried.
     """
     g = gen.load(dataset)
-    if truth is not None:
-        # Use the caller's evaluated sources — they define the truth vectors.
-        sources = np.array(sorted(truth.keys())[:n_sources])
-    else:
-        sources = harness.pick_sources(g, n_sources, seed=seed)
-        truth = harness.ground_truth_small(g, sources)
+    sources = sorted(truth)[:n_sources]
     rows = []
     for eps in eps_grid:
         for variant in ("basic", "opt"):

@@ -37,24 +37,18 @@ def _symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, n
     return np.concatenate([lo, hi]), np.concatenate([hi, lo])
 
 
-def erdos_renyi(
-    n: int, m_target: int, *, seed: int, directed: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
-    """G(n, m)-style uniform random graph with ~``m_target`` distinct edges.
+def erdos_renyi(n: int, m_target: int, *, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Undirected G(n, m)-style uniform random graph with ~``m_target`` edges.
 
-    For undirected graphs ``m_target`` counts undirected edges; the returned
-    arrays contain both directions.
+    ``m_target`` counts distinct undirected edges; the returned arrays
+    contain both directions.
     """
     g = np.random.default_rng(seed)
     # Oversample to survive dedup, then trim deterministically.
     k = int(m_target * 1.3) + 16
     src = g.integers(0, n, k)
     dst = g.integers(0, n, k)
-    if directed:
-        src, dst = _dedup(n, src, dst)
-        return src[:m_target], dst[:m_target]
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-    lo, hi = _dedup(n, lo, hi)
+    lo, hi = _dedup(n, np.minimum(src, dst), np.maximum(src, dst))
     lo, hi = lo[:m_target], hi[:m_target]
     return np.concatenate([lo, hi]), np.concatenate([hi, lo])
 
@@ -137,7 +131,7 @@ def _reg() -> Dict[str, _Gen]:
         return 500, False, s, d
 
     def ht() -> Tuple[int, bool, np.ndarray, np.ndarray]:
-        s, d = erdos_renyi(1000, 2600, seed=12, directed=False)
+        s, d = erdos_renyi(1000, 2600, seed=12)
         return 1000, False, s, d
 
     def wv() -> Tuple[int, bool, np.ndarray, np.ndarray]:

@@ -7,13 +7,13 @@ that beats the whole edge list, so the backward pass pays for the edges it
 uses, not for all ``m``.  :func:`push_blocks` is the one local-push
 kernel: its cost scales with the pushed support, and it advances many sparse
 vectors at once through ``row·n + node`` keys, in cache-sized blocks of
-whole rows that it yields one by one.  :func:`expand_sparse` concatenates
-them; the forward pass and the PRSim-lite index use it, and Algorithm 3's
-``M^t`` rows consume the blocks as they come.  Its sums go through
-:func:`accumulate` (a dense bincount, or a sort: one packed ``np.sort`` for
-many terms, ``np.unique`` for few), which Algorithm 3's small ``Z_ℓ`` levels
-also use.  Every path adds each sum's terms in input order, so blocks, sort
-and switch never change a bit of a result.
+whole rows that it yields one by one.  Algorithm 3's ``M^t`` rows consume
+the blocks as they come; the forward pass pushes one vector, which is one
+row and so one block.  The push sums through :func:`accumulate` (a dense
+bincount, or a sort: one packed ``np.sort`` for many terms, ``np.unique``
+for few), which Algorithm 3's small ``Z_ℓ`` levels also use.  Every path
+adds each sum's terms in input order, so blocks, sort and switch never
+change a bit of a result.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -100,45 +100,30 @@ def matvec_PT(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
     return out / np.maximum(csr.din, 1)
 
 
-def expand_sparse(
+def push_blocks(
     csr: CSRGraph, keys: np.ndarray, val: np.ndarray, *, prune: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sparse ``P · v`` by local push, for one or many vectors at once.
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Sparse ``P · v`` by local push, for one or many vectors at once, one
+    block of whole rows at a time.
 
     ``keys = row·n + node`` names entry ``node`` of vector ``row``; a caller
     pushing a single vector passes plain node ids.  ``P·v`` gathers
     ``v(j)/d_in(j)`` into every ``i ∈ I(j)`` — structurally, each entry is
     *pushed* along the reversed edges, within its own row.  This is the
-    local-push primitive of PRSim, of the forward pass and of Algorithm 3's
-    BFS (where the same operation realizes ``M^t`` rows, since ``P = Mᵀ``
-    for the walk transition ``M``).  Entries landing at ``|value| <= prune``
-    are dropped.  Returns ``(keys, values, edges_traversed)`` with the keys
-    sorted; the traversal count feeds the adaptive budgets.  It is the
-    concatenation of :func:`push_blocks`' blocks.
-    """
-    blocks = list(push_blocks(csr, keys, val, prune=prune))
-    if not blocks:
-        return keys[:0], val[:0], 0
-    if len(blocks) == 1:
-        return blocks[0]
-    out, acc, edges = zip(*blocks)
-    return np.concatenate(out), np.concatenate(acc), sum(edges)
-
-
-def push_blocks(
-    csr: CSRGraph, keys: np.ndarray, val: np.ndarray, *, prune: float = 0.0
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """:func:`expand_sparse`'s push, one block of whole rows at a time.
+    local-push primitive of the forward pass and of Algorithm 3's BFS (where
+    the same operation realizes ``M^t`` rows, since ``P = Mᵀ`` for the walk
+    transition ``M``).  Entries landing at ``|value| <= prune`` are dropped.
 
     Yields each block's ``(keys, values, edges_traversed)``, keys sorted;
-    a caller that folds its own work into the blocks (Algorithm 3's
-    ``Z_ℓ``) never holds the whole output.  A push of more than
-    :data:`BLOCK` edges runs in blocks of whole rows, about ``BLOCK`` edges
-    each and keyed from the block's first row, whose temporaries stay in
-    cache.  Its rows must come in ascending order, each row's entries
-    together: then a row never spans two blocks, each key still adds its
-    terms in input order, and the blocks come out in key order.  Entries at
-    dead ends push nothing; a push with no edges yields no block.
+    the traversal count feeds the adaptive budgets, and a caller that folds
+    its own work into the blocks (Algorithm 3's ``Z_ℓ``) never holds the
+    whole output.  A push of more than :data:`BLOCK` edges runs in blocks of
+    whole rows, about ``BLOCK`` edges each and keyed from the block's first
+    row, whose temporaries stay in cache.  Its rows must come in ascending
+    order, each row's entries together: then a row never spans two blocks,
+    each key still adds its terms in input order, and the blocks come out in
+    key order.  Entries at dead ends push nothing; a push with no edges
+    yields no block.
     """
     n = csr.n
     node = keys % n

@@ -1,4 +1,4 @@
-"""Cached ground-truth oracles shared across test modules.
+"""Cached ground-truth oracles and references shared across test modules.
 
 The dense oracles (Power-Method S, exact D) cost seconds per graph; tests
 reference them by registry name so one computation serves every test in the
@@ -11,6 +11,7 @@ import numpy as np
 from repro.baselines.power_method import simrank_power
 from repro.core import diagonal
 from repro.graphs import generators as gen
+from repro.linalg import matvec as mv
 
 
 @lru_cache(maxsize=None)
@@ -31,3 +32,13 @@ def exact_d_power(name: str, c: float = 0.6, tol: float = 1e-12) -> np.ndarray:
 #: ``P``'s weighted edges ``(src, dst, w = 1/d_in(dst))``, derived by DuckDB
 #: from the ``edges`` table alone, independently of the code under test.
 TRANSITION_SQL = "SELECT src, dst, 1.0 / COUNT(*) OVER (PARTITION BY dst) AS w FROM edges"
+
+
+def expand_sparse(csr, keys, val, *, prune=0.0):
+    """``matvec.push_blocks``' blocks joined into one ``(keys, values,
+    edges_traversed)``: the whole push of every row, keys sorted."""
+    blocks = list(mv.push_blocks(csr, keys, val, prune=prune))
+    if not blocks:
+        return keys[:0], val[:0], 0
+    out, acc, edges = zip(*blocks)
+    return np.concatenate(out), np.concatenate(acc), sum(edges)

@@ -43,17 +43,12 @@ def test_generators_deterministic(name):
     np.testing.assert_array_equal(a[3], b[3])
 
 
-def test_erdos_renyi_directed_edge_count():
-    s, d = gen.erdos_renyi(100, 300, seed=7, directed=True)
-    assert s.shape == d.shape == (300,)
-    assert np.all(s != d)
-
-
 def test_erdos_renyi_undirected_symmetric():
-    s, d = gen.erdos_renyi(100, 200, seed=7, directed=False)
+    s, d = gen.erdos_renyi(100, 200, seed=7)
     pairs = set(zip(s.tolist(), d.tolist()))
     assert all((y, x) in pairs for x, y in pairs)
     assert len(pairs) == 400  # 200 undirected edges, both directions
+    assert np.all(s != d)
 
 
 def test_preferential_attachment_power_law_shape():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.graphs import generators as gen
 from repro.linalg import matvec as mv
 from repro.oracle import assert_equivalent
-from tests.helpers import TRANSITION_SQL
+from tests.helpers import TRANSITION_SQL, expand_sparse
 
 SMALL = gen.SMALL_DATASETS
 
@@ -145,7 +145,7 @@ def test_matvec_PT_mass_property(seed):
 
 
 # ---------------------------------------------------------------------------
-# sparse local-push expansion
+# sparse local-push expansion: push_blocks' blocks, joined by expand_sparse
 # ---------------------------------------------------------------------------
 
 
@@ -156,7 +156,7 @@ def test_expand_sparse_equals_matvec(name):
     rng = np.random.default_rng(5)
     nz = rng.choice(g.n, size=10, replace=False)
     v[nz] = rng.random(10)
-    idx, val, edges = mv.expand_sparse(g.csr, nz.astype(np.int64), v[nz])
+    idx, val, edges = expand_sparse(g.csr, nz.astype(np.int64), v[nz])
     dense = mv.matvec_P(g.csr, v)
     out = np.zeros(g.n)
     out[idx] = val
@@ -172,9 +172,9 @@ def test_expand_sparse_accumulators_agree():
     assert g.n <= g.m and 2 * g.m < 21 * g.n
     nodes = np.arange(g.n, dtype=np.int64)
     val = np.random.default_rng(3).random(g.n)
-    k0, v0, e0 = mv.expand_sparse(g.csr, nodes, val)
+    k0, v0, e0 = expand_sparse(g.csr, nodes, val)
     keys = np.concatenate([nodes, 20 * g.n + nodes])
-    k2, v2, e2 = mv.expand_sparse(g.csr, keys, np.concatenate([val, val]))
+    k2, v2, e2 = expand_sparse(g.csr, keys, np.concatenate([val, val]))
     np.testing.assert_array_equal(k2, np.concatenate([k0, 20 * g.n + k0]))
     np.testing.assert_array_equal(v2, np.concatenate([v0, v0]))
     assert e0 == g.m and e2 == 2 * g.m
@@ -191,11 +191,11 @@ def test_expand_sparse_packed_rows_match_per_row():
     ]
     keys = np.concatenate([r * g.n + idx for r, (idx, _) in enumerate(rows)])
     val = np.concatenate([v for _, v in rows])
-    bk, bv, total = mv.expand_sparse(g.csr, keys, val, prune=1e-15)
+    bk, bv, total = expand_sparse(g.csr, keys, val, prune=1e-15)
     row, node = np.divmod(bk, g.n)
     expected_total = 0
     for r, (idx, v) in enumerate(rows):
-        si, sv, cost = mv.expand_sparse(g.csr, idx, v, prune=1e-15)
+        si, sv, cost = expand_sparse(g.csr, idx, v, prune=1e-15)
         expected_total += cost
         np.testing.assert_array_equal(node[row == r], si)
         np.testing.assert_array_equal(bv[row == r], sv)
@@ -237,16 +237,16 @@ def test_expand_sparse_blocks_match_one_block(monkeypatch, name, block):
     over the whole input: rows larger than a block, dead-end entries,
     entries dropped by the prune, and an empty input."""
     csr, keys, val = _rows_with_dead_ends(name)
-    whole = mv.expand_sparse(csr, keys, val)
+    whole = expand_sparse(csr, keys, val)
     prune = float(np.median(np.abs(whole[1])))
     assert csr.m > 64  # row 5 pushes every edge
     cases = [(keys, val, 0.0), (keys, val, prune), (keys[:0], val[:0], 0.0)]
     monkeypatch.setattr(mv, "BLOCK", 1 << 40)
-    want = [mv.expand_sparse(csr, k, v, prune=p) for k, v, p in cases]
+    want = [expand_sparse(csr, k, v, prune=p) for k, v, p in cases]
     assert 0 < want[1][0].size < want[0][0].size  # the prune dropped entries
     monkeypatch.setattr(mv, "BLOCK", block)
     for (k, v, p), (wk, wv, we) in zip(cases, want):
-        gk, gv, ge = mv.expand_sparse(csr, k, v, prune=p)
+        gk, gv, ge = expand_sparse(csr, k, v, prune=p)
         np.testing.assert_array_equal(gk, wk)
         assert np.array_equal(gv, wv) and ge == we
     assert want[2][0].size == 0 and want[2][2] == 0
@@ -257,7 +257,7 @@ def test_expand_sparse_rejects_descending_rows(monkeypatch):
     monkeypatch.setattr(mv, "BLOCK", 1)
     keys = np.array([2 * g.n + 5, 7], dtype=np.int64)
     with pytest.raises(ValueError, match="ascending"):
-        mv.expand_sparse(g.csr, keys, np.ones(2))
+        expand_sparse(g.csr, keys, np.ones(2))
 
 
 def _accumulate_unique(keys, w, prune):
@@ -301,7 +301,7 @@ def test_accumulate_packed_sort_matches_unique(monkeypatch):
 def test_expand_sparse_prunes():
     g = gen.tiny_star(3)
     # Mass at the center spreads 1/3 to each leaf; prune above that drops all.
-    idx, val, _ = mv.expand_sparse(
+    idx, val, _ = expand_sparse(
         g.csr, np.array([0], dtype=np.int64), np.array([1.0]), prune=0.5
     )
     assert idx.size == 0
@@ -313,11 +313,11 @@ def test_expand_sparse_dead_end():
     from repro.graphs.graph import from_edges
 
     g = from_edges("dead", 2, np.array([1]), np.array([0]), directed=True)
-    idx, val, edges = mv.expand_sparse(
+    idx, val, edges = expand_sparse(
         g.csr, np.array([0], dtype=np.int64), np.array([1.0])
     )
     assert idx.tolist() == [1] and val.tolist() == [1.0]
-    idx2, _, edges2 = mv.expand_sparse(g.csr, idx, val)
+    idx2, _, edges2 = expand_sparse(g.csr, idx, val)
     assert idx2.size == 0 and edges2 == 0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import linearized
 from repro.linalg import matvec as mv
-from tests.helpers import exact_d, power_truth
+from tests.helpers import exact_d, expand_sparse, power_truth
 from repro.graphs import generators as gen
 
 C = 0.6
@@ -151,7 +151,7 @@ def _forward_every_hop(csr, source, *, c, L, threshold):
     levels, pi, edges = [(idx, val)], np.zeros(csr.n), 0
     pi[idx] = val
     for _ in range(L):
-        idx, val, cost = mv.expand_sparse(csr, idx, val)
+        idx, val, cost = expand_sparse(csr, idx, val)
         val = sqrt_c * val
         keep = val > threshold
         idx, val = idx[keep], val[keep]
@@ -173,8 +173,8 @@ def test_forward_stops_pushing_an_empty_frontier(monkeypatch):
     sizes = [idx.size for idx, _ in want_levels]
     assert L == 6 and sizes[3:] == [0] * 4 and min(sizes[:3]) > 0
     pushes = []
-    real = mv.expand_sparse
-    monkeypatch.setattr(mv, "expand_sparse", lambda *a, **kw: pushes.append(1) or real(*a, **kw))
+    real = mv.push_blocks
+    monkeypatch.setattr(mv, "push_blocks", lambda *a, **kw: pushes.append(1) or real(*a, **kw))
     fwd = linearized.forward(g.csr, 0, c=C, L=L, threshold=thr)
     assert len(pushes) == 3
     assert len(fwd.levels) == L + 1
@@ -183,3 +183,32 @@ def test_forward_stops_pushing_an_empty_frontier(monkeypatch):
         assert np.array_equal(idx, w_idx) and np.array_equal(val, w_val)
     assert np.array_equal(fwd.pi, want_pi)
     assert (fwd.stored_entries, fwd.edges, fwd.threshold) == (sum(sizes), want_edges, thr)
+
+
+@pytest.mark.parametrize("name", ["DB-lite", "IT-lite"])
+def test_forward_takes_one_block_per_hop(monkeypatch, name):
+    """``forward`` keeps only the first block of each hop's push, which is
+    the whole hop because a hop is one row and ``push_blocks`` never splits
+    a row.  With ``BLOCK`` at one edge, every push of an ε = 1e-5 pass
+    yields at most one block, and the levels equal the default ``BLOCK``'s
+    bit for bit."""
+    g = gen.load(name)
+    L = linearized.iterations_for(1e-5, C)
+    thr = linearized.sparse_threshold(1e-5, C)
+    want = linearized.forward(g.csr, 0, c=C, L=L, threshold=thr)
+    real, blocks = mv.push_blocks, []
+
+    def spy(*a, **kw):
+        blocks.append(0)
+        for block in real(*a, **kw):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(mv, "BLOCK", 1)
+    monkeypatch.setattr(mv, "push_blocks", spy)
+    got = linearized.forward(g.csr, 0, c=C, L=L, threshold=thr)
+    assert blocks and max(blocks) == 1
+    assert got.edges == want.edges > len(blocks)  # pushes of many edges
+    for (idx, val), (w_idx, w_val) in zip(got.levels, want.levels, strict=True):
+        assert np.array_equal(idx, w_idx) and np.array_equal(val, w_val)
+    assert np.array_equal(got.pi, want.pi)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import diagonal, local_push
-from tests.helpers import exact_d
+from tests.helpers import exact_d, expand_sparse
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
 from repro.linalg import matvec as mv
@@ -65,13 +65,14 @@ def test_meeting_head_cycle_first_meeting():
     assert hr.z_sum == pytest.approx(C, abs=1e-12)
 
 
-def test_meeting_head_matches_dense_lemma4_recursion():
+def test_meeting_head_matches_dense_lemma4_recursion(monkeypatch):
     """Every GQ-lite head equals the dense matrix form of Lemma 4,
     ``Z_ℓ = S_ℓ − Σ_{t<ℓ} Z_t S_{ℓ-t}`` with ``S_j = c^j (M^j)∘(M^j)`` and
     ``M = Pᵀ``, summed over ``ℓ <= ℓ(k)`` — at a budget that reaches
-    ``max_level`` and at one that stops mid-depth."""
+    ``MAX_LEVEL`` and at one that stops mid-depth."""
     g = gen.load("GQ-lite")
     depth = 5
+    monkeypatch.setattr(local_push, "MAX_LEVEL", depth)
     m = g.dense_P().T
     s, m_pow = [], np.eye(g.n)
     for j in range(1, depth + 1):
@@ -85,16 +86,14 @@ def test_meeting_head_matches_dense_lemma4_recursion():
     for budget, ells in [(10**9, {depth}), (3000, {2, 3, 4})]:
         seen = set()
         for k in range(g.n):
-            hr = local_push.meeting_head(
-                g.csr, k, c=C, budget_edges=budget, max_level=depth
-            )
+            hr = local_push.meeting_head(g.csr, k, c=C, budget_edges=budget)
             assert abs(hr.z_sum - head[hr.ell, k]) <= 1e-12, (budget, k, hr)
             assert hr.edges <= budget
             seen.add(hr.ell)
         assert seen == ells, budget
 
 
-def test_z_recursion_vs_brute_force_paths():
+def test_z_recursion_vs_brute_force_paths(monkeypatch):
     """Enumerate all walk-pair paths on a tiny graph and aggregate exact
     first-meeting probabilities per level; Lemma 4 must reproduce them."""
     g = gen.tiny_star(3)  # center 0, leaves 1..3
@@ -120,13 +119,14 @@ def test_z_recursion_vs_brute_force_paths():
                     else:
                         nxt[(a2, b2)] = nxt.get((a2, b2), 0.0) + q
         frontier = nxt
-    hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**7, max_level=T)
+    monkeypatch.setattr(local_push, "MAX_LEVEL", T)
+    hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**7)
     assert hr.z_sum == pytest.approx(first.sum(), abs=1e-9)
 
 
 def _whole_level_head(csr, k, *, c, budget_edges, max_level=local_push.MAX_LEVEL):
     """The Lemma-4 loop before levels were streamed: each level is built
-    whole by one ``expand_sparse`` push and summed by one ``accumulate``."""
+    whole by one push, its blocks joined, and summed by one ``accumulate``."""
     n = csr.n
     c_pow = np.array([c**j for j in range(max_level + 1)])
     keys = np.array([k], dtype=np.int64)
@@ -139,7 +139,7 @@ def _whole_level_head(csr, k, *, c, budget_edges, max_level=local_push.MAX_LEVEL
         cost = int(csr.din[node].sum())
         if edges + cost > budget_edges:
             break
-        keys, val, actual = mv.expand_sparse(csr, keys, val, prune=local_push.PRUNE)
+        keys, val, actual = expand_sparse(csr, keys, val, prune=local_push.PRUNE)
         edges += actual
         rid = keys // n
         node = keys - rid * n
@@ -156,7 +156,7 @@ def _whole_level_head(csr, k, *, c, budget_edges, max_level=local_push.MAX_LEVEL
         coef = np.concatenate([coef, zv])
         if c**ell < local_push.PRUNE or not keys.size:
             break
-    return local_push.HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
+    return local_push.HeadResult(ell=ell_done, z_sum=z_sum, edges=edges)
 
 
 def _head_graph(name):

@@ -71,7 +71,7 @@ def test_nonstop_tail_on_cycle_is_zero():
     assert met == 0
 
 
-def test_nonstop_tail_unbiased_on_star():
+def test_nonstop_tail_unbiased_on_star(monkeypatch):
     """Tail estimator check: c^ℓ0 · E[tail indicator] must equal the exact
     tail mass Σ_{ℓ>ℓ0} Z_ℓ(k) (head computed exactly by Lemma 4)."""
     from repro.core import local_push
@@ -79,8 +79,9 @@ def test_nonstop_tail_unbiased_on_star():
     g = gen.tiny_star(4)
     d = diagonal.exact_diagonal(g, c=C, tol=1e-14)
     ell0 = 2
-    # Exact head at depth 2 via a huge-budget run capped at max_level=2.
-    hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**8, max_level=ell0)
+    # Exact head at depth 2 via a huge-budget run capped at MAX_LEVEL = 2.
+    monkeypatch.setattr(local_push, "MAX_LEVEL", ell0)
+    hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**8)
     exact_tail = (1.0 - hr.z_sum) - d[0]
     rng = np.random.default_rng(3)
     n = 300_000
