@@ -13,7 +13,7 @@ from repro.graphs import generators as gen
 @pytest.mark.parametrize("name", gen.LARGE_DATASETS)
 def test_bench_table3_row(benchmark, name):
     row = benchmark.pedantic(
-        lambda: tables.table3_rows(eps_mem=1e-5, datasets=[name])[0],
+        lambda: tables.table3_rows(datasets=[name])[0],
         rounds=1,
         iterations=1,
     )

@@ -15,8 +15,9 @@ from _common import main  # noqa: E402
 def run():
     from repro.experiments import tables
 
-    print("== Table 3: memory overhead on large-lite graphs (eps_mem=1e-5) ==")
-    rows = tables.table3_rows(eps_mem=1e-5)
+    print("== Table 3: memory overhead on large-lite graphs "
+          f"(eps_mem={tables.EPS_MEM:.0e}) ==")
+    rows = tables.table3_rows()
     print(f"{'dataset':8s} {'basic(MB)':>10s} {'opt(MB)':>9s} {'opt-peak(MB)':>13s} "
           f"{'graph(MB)':>10s} {'reduct':>7s} | paper(GB): basic / opt / graph (reduct)")
     for r in rows:

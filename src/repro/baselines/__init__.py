@@ -1,5 +1,6 @@
 """Every algorithm the paper evaluates against: Power Method, MC,
-Linearization, ParSim and PRSim-lite."""
+Linearization, ParSim and PRSim-lite.  Each query returns the score array;
+the experiment harness times every index build and query."""
 
 
 class BudgetExceeded(RuntimeError):

@@ -14,7 +14,6 @@ Figure 1.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,8 +33,6 @@ def samples_per_node(n: int, eps: float) -> int:
 class LinearizationIndex:
     d_hat: np.ndarray
     eps: float
-    total_pairs: int
-    seconds_preprocess: float
 
     def index_bytes(self) -> int:
         """The stored index is just the diagonal — n doubles (Figure 4's
@@ -59,32 +56,17 @@ def preprocess(
             f"Linearization needs {total:.2e} pair walks at eps={eps} "
             f"(cap {max_pairs:.2e})"
         )
-    t0 = time.perf_counter()
     nodes = np.arange(graph.n, dtype=np.int64)
     counts = np.full(graph.n, r_node, dtype=np.int64)
-    d_hat = diagonal.estimate_D_mc(graph, nodes, counts, c=c, seed=seed)
     return LinearizationIndex(
-        d_hat=d_hat,
-        eps=eps,
-        total_pairs=total,
-        seconds_preprocess=time.perf_counter() - t0,
+        d_hat=diagonal.estimate_D_mc(graph, nodes, counts, c=c, seed=seed), eps=eps
     )
-
-
-@dataclass
-class LinearizationResult:
-    scores: np.ndarray
-    seconds_query: float
 
 
 def query(
     graph: Graph, index: LinearizationIndex, source: int, *, c: float = 0.6
-) -> LinearizationResult:
+) -> np.ndarray:
     """Single-source query with the precomputed ``D̂`` (linearized engine)."""
-    t0 = time.perf_counter()
     L = linearized.iterations_for(index.eps, c)
     fwd = linearized.forward(graph.csr, source, c=c, L=L)
-    scores = linearized.backward(graph.csr, fwd, index.d_hat, c=c)
-    return LinearizationResult(
-        scores=scores, seconds_query=time.perf_counter() - t0
-    )
+    return linearized.backward(graph.csr, fwd, index.d_hat, c=c)

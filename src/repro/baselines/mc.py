@@ -12,7 +12,6 @@ wall the paper highlights.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +25,10 @@ from repro.walks import traces
 class MCIndex:
     r_per_node: int
     trace_pdf: pd.DataFrame
-    seconds_preprocess: float
-    rows: int
 
     def index_bytes(self) -> int:
         """Stored traces: 4 int64 columns per row."""
-        return self.rows * 32
+        return len(self.trace_pdf) * 32
 
 
 def preprocess(
@@ -42,15 +39,8 @@ def preprocess(
     seed: int = 0,
 ) -> MCIndex:
     """Simulate and store R √c-walks per node."""
-    t0 = time.perf_counter()
     pdf = traces.trace_rows(graph, r_per_node=r_per_node, c=c, seed=seed)
-    return MCIndex(r_per_node, pdf, time.perf_counter() - t0, len(pdf))
-
-
-@dataclass
-class MCResult:
-    scores: np.ndarray
-    seconds_query: float
+    return MCIndex(r_per_node, pdf)
 
 
 def _scores_from_counts(
@@ -63,9 +53,10 @@ def _scores_from_counts(
     return s
 
 
-def query(graph: Graph, index: MCIndex, source: int) -> MCResult:
+def query(graph: Graph, index: MCIndex, source: int) -> np.ndarray:
     """Meeting counts of the source's walks against every other node's."""
-    t0 = time.perf_counter()
+    if not 0 <= source < graph.n:
+        raise ValueError("source out of range")
     t = index.trace_pdf
     ti = t[t["node"] == source][["r", "step", "pos"]]
     joined = t.merge(ti, on=["r", "step", "pos"], how="inner")
@@ -76,5 +67,4 @@ def query(graph: Graph, index: MCIndex, source: int) -> MCResult:
         .size()
         .rename(columns={"size": "meets"})
     )
-    s = _scores_from_counts(graph, source, index.r_per_node, counts)
-    return MCResult(scores=s, seconds_query=time.perf_counter() - t0)
+    return _scores_from_counts(graph, source, index.r_per_node, counts)

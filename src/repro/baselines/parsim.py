@@ -9,23 +9,13 @@ our experiments reproduce.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core import linearized
 from repro.graphs.graph import Graph
 
 
-@dataclass
-class ParSimResult:
-    scores: np.ndarray
-    L: int
-    seconds: float
-
-
-def parsim(graph: Graph, source: int, *, L: int, c: float = 0.6) -> ParSimResult:
+def parsim(graph: Graph, source: int, *, L: int, c: float = 0.6) -> np.ndarray:
     """Single-source ParSim with ``L`` iterations (its only parameter).
 
     ``s(source)`` is pinned to the trivially-known ``S(i,i) = 1``: with
@@ -34,9 +24,8 @@ def parsim(graph: Graph, source: int, *, L: int, c: float = 0.6) -> ParSimResult
     would flatten ParSim's MaxError curve at ``c`` and hide the off-diagonal
     plateau the paper's figures actually show.
     """
-    t0 = time.perf_counter()
     d_hat = np.full(graph.n, 1.0 - c)
     fwd = linearized.forward(graph.csr, source, c=c, L=L)
     scores = linearized.backward(graph.csr, fwd, d_hat, c=c)
     scores[source] = 1.0
-    return ParSimResult(scores=scores, L=L, seconds=time.perf_counter() - t0)
+    return scores

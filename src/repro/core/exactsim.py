@@ -50,10 +50,6 @@ class ExactSimResult:
     seconds_backward: float
     effective_eps: float  # == eps unless the pair budget was capped
 
-    @property
-    def seconds_total(self) -> float:
-        return self.seconds_forward + self.seconds_diagonal + self.seconds_backward
-
     def memory_bytes(self) -> int:
         """Footprint of the stored ℓ-hop vectors (Table 3's quantity)."""
         return self.dense_bytes if self.variant == "basic" else self.sparse_bytes
@@ -84,8 +80,6 @@ def exactsim(
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c!r}")
-    if not (0 <= source < graph.n):
-        raise ValueError("source out of range")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
     if max_pairs is not None and max_pairs < 1:

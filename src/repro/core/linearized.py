@@ -85,7 +85,11 @@ def forward(
     entries ``<= threshold`` are dropped *before* being stored or propagated,
     which is what bounds both the space and the downstream work.  Once it
     empties a hop, the remaining hops are stored empty without a push.
+    A source outside ``[0, n)`` raises ``ValueError`` for every method that
+    runs this pass.
     """
+    if not 0 <= source < csr.n:
+        raise ValueError("source out of range")
     sqrt_c = math.sqrt(c)
     idx = np.array([source], dtype=np.int64)
     val = np.array([1.0 - sqrt_c])

@@ -2,10 +2,12 @@
 
 One :class:`Row` per (dataset, method, parameter) setting, averaged over the
 query sources by one row builder, ``_row`` — exactly the points the paper
-plots.  MC, Linearization and PRSim-lite share one index loop: a build past
-the configured cap raises :class:`~repro.baselines.BudgetExceeded` and its
-point reads ``note='omitted (budget)'``, the scaled analog of the paper's
-"omit if query/preprocessing exceeds 24 hours" rule (DESIGN.md §4).
+plots.  The baselines return scores only; :func:`timed` is the one timer,
+around every index build and every query.  MC, Linearization and PRSim-lite
+share one index loop: a build past the configured cap raises
+:class:`~repro.baselines.BudgetExceeded` and its point reads
+``note='omitted (budget)'``, the scaled analog of the paper's "omit if
+query/preprocessing exceeds 24 hours" rule (DESIGN.md §4).
 
 Ground truth:
 * small graphs — Power Method (as in the paper §4.1);
@@ -14,6 +16,7 @@ Ground truth:
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -50,6 +53,13 @@ class Row:
             f"idx={self.index_bytes / 1e6:8.2f}MB maxerr={me:>9s} "
             f"P@k={pk:>6s} {self.note}"
         )
+
+
+def timed(fn: Callable, *args, **kwargs) -> Tuple[object, float]:
+    """``fn(*args, **kwargs)`` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
 
 
 def pick_sources(graph: Graph, n_sources: int, seed: int = 7) -> np.ndarray:
@@ -126,20 +136,20 @@ def _sweep_index(
 ) -> List[Row]:
     """One row per grid point, labelled ``label.format(param)``: ``build(param)``
     returns the index or raises :class:`BudgetExceeded` to omit the point, and
-    ``query(index, source)`` returns a result with ``scores`` and
-    ``seconds_query``."""
+    ``query(index, source)`` returns the scores.  An index whose ``capped``
+    flag is set (PRSim-lite's cut D̂ budget) notes ``capped``."""
     rows = []
     for param in grid:
         try:
-            idx = build(param)
+            idx, preprocess_s = timed(build, param)
         except BudgetExceeded:
             rows.append(Row(graph.name, method, label.format(param), np.nan,
                             np.nan, 0, np.nan, np.nan, note="omitted (budget)"))
             continue
-        results = [(int(s), query(idx, int(s))) for s in sources]
-        runs = [(s, r.scores, r.seconds_query) for s, r in results]
+        runs = [(int(s), *timed(query, idx, int(s))) for s in sources]
+        note = "capped" if getattr(idx, "capped", False) else ""
         rows.append(_row(graph, method, label.format(param), runs, truth, cfg.k,
-                         idx.seconds_preprocess, idx.index_bytes()))
+                         preprocess_s, idx.index_bytes(), note))
     return rows
 
 
@@ -155,12 +165,12 @@ def sweep_exactsim(
     name = "ExactSim" if variant == "opt" else "ExactSim-basic"
     rows = []
     for eps in grid:
-        results = [(int(s), exactsim(graph, int(s), eps=eps, variant=variant,
-                                     seed=cfg.seed, max_pairs=cfg.max_pairs))
+        results = [(int(s), *timed(exactsim, graph, int(s), eps=eps, variant=variant,
+                                   seed=cfg.seed, max_pairs=cfg.max_pairs))
                    for s in sources]
-        runs = [(s, r.scores, r.seconds_total) for s, r in results]
-        capped = any(r.effective_eps > eps for _, r in results)
-        bytes_used = max((r.memory_bytes() for _, r in results), default=0)
+        runs = [(s, r.scores, t) for s, r, t in results]
+        capped = any(r.effective_eps > eps for _, r, _ in results)
+        bytes_used = max((r.memory_bytes() for _, r, _ in results), default=0)
         note = ("capped" if capped else "") + f" mem={bytes_used/1e6:.1f}MB"
         rows.append(_row(graph, name, f"eps={eps:.0e}", runs, truth, cfg.k, note=note))
     return rows
@@ -174,8 +184,8 @@ def sweep_parsim(
 ) -> List[Row]:
     rows = []
     for L in cfg.parsim_L:
-        results = [(int(s), parsim.parsim(graph, int(s), L=L, c=C)) for s in sources]
-        runs = [(s, r.scores, r.seconds) for s, r in results]
+        runs = [(int(s), *timed(parsim.parsim, graph, int(s), L=L, c=C))
+                for s in sources]
         rows.append(_row(graph, "ParSim", f"L={L}", runs, truth, cfg.k))
     return rows
 

@@ -19,6 +19,12 @@ from repro.graphs import generators as gen
 
 C = 0.6
 
+#: Table 3's ε: the scaled analog of the paper's ε = 1e-7.  The Lemma-2
+#: threshold relative to the typical entry magnitude ``1/n`` then matches the
+#: paper's regime (``threshold·n ≈ 0.01``, as at ε=1e-7 with n ≈ 5e6) — see
+#: EXPERIMENTS.md.
+EPS_MEM = 1e-5
+
 #: Paper Table 2, for side-by-side printing.
 PAPER_TABLE2 = {
     "GQ-lite": ("ca-GrQc (GQ)", "undirected", 5_242, 28_968),
@@ -61,26 +67,20 @@ def table2_rows() -> List[Dict]:
     return rows
 
 
-def table3_rows(
-    *,
-    eps_mem: float = 1e-5,
-    datasets: Optional[Sequence[str]] = None,
-) -> List[Dict]:
-    """Table 3 analog: ℓ-hop-vector memory, basic vs optimized vs graph size.
+def table3_rows(*, datasets: Optional[Sequence[str]] = None) -> List[Dict]:
+    """Table 3 analog at :data:`EPS_MEM`: ℓ-hop-vector memory, basic vs
+    optimized vs graph size.
 
-    ``eps_mem = 1e-5`` is the scaled analog of the paper's ε = 1e-7: the
-    Lemma-2 threshold relative to the typical entry magnitude ``1/n`` then
-    matches the paper's regime (``threshold·n ≈ 0.01``, as at ε=1e-7 with
-    n ≈ 5e6) — see EXPERIMENTS.md.  Memory is counted exactly from the
-    stored-entry counts of the forward phase (``stored_entries·16``), and
-    measured as the optimized forward pass's ``tracemalloc`` peak, which
-    adds the dense ``π`` vector and the push's temporaries.
+    Memory is counted exactly from the stored-entry counts of the forward
+    phase (``stored_entries·16``), and measured as the optimized forward
+    pass's ``tracemalloc`` peak, which adds the dense ``π`` vector and the
+    push's temporaries.
     """
     rows = []
     for name in datasets or gen.LARGE_DATASETS:
         g = gen.load(name)
         src = harness.pick_sources(g, 1)[0]
-        eps_int = eps_mem / 2.0
+        eps_int = EPS_MEM / 2.0
         L = linearized.iterations_for(eps_int, C)
         thr = linearized.sparse_threshold(eps_int, C)
         fwd_dense = linearized.forward(g.csr, int(src), c=C, L=L)
@@ -140,11 +140,12 @@ def ablation_rows(
         for variant in ("basic", "opt"):
             errs, times, sims = [], [], []
             for s in sources:
-                r = exactsim(
-                    g, int(s), eps=eps, variant=variant, seed=seed, max_pairs=max_pairs
+                r, t = harness.timed(
+                    exactsim, g, int(s), eps=eps, variant=variant, seed=seed,
+                    max_pairs=max_pairs,
                 )
                 errs.append(metrics.max_error(r.scores, truth[int(s)]))
-                times.append(r.seconds_total)
+                times.append(t)
                 sims.append(r.pairs_simulated)
             rows.append(
                 {

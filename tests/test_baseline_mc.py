@@ -18,7 +18,7 @@ def test_mc_estimates_cycle_exactly_zero():
     res = mc.query(g, idx, 0)
     truth = np.zeros(6)
     truth[0] = 1.0
-    np.testing.assert_array_equal(res.scores, truth)
+    np.testing.assert_array_equal(res, truth)
 
 
 def test_mc_close_to_truth_on_star():
@@ -29,7 +29,7 @@ def test_mc_close_to_truth_on_star():
     idx = mc.preprocess(g, r_per_node=20_000, c=C, seed=2)
     res = mc.query(g, idx, 1)
     # Binomial std at R=2e4 ≈ 0.0035; 5σ.
-    np.testing.assert_allclose(res.scores, S[:, 1], atol=0.02)
+    np.testing.assert_allclose(res, S[:, 1], atol=0.02)
 
 
 def test_mc_error_shrinks_with_r():
@@ -39,16 +39,14 @@ def test_mc_error_shrinks_with_r():
     for r_per_node in (20, 500):
         idx = mc.preprocess(g, r_per_node=r_per_node, c=C, seed=3)
         res = mc.query(g, idx, 0)
-        errs.append(np.abs(res.scores - S[:, 0]).max())
+        errs.append(np.abs(res - S[:, 0]).max())
     assert errs[1] < errs[0]
 
 
 def test_mc_index_accounting():
     g = gen.load("GQ-lite")
     idx = mc.preprocess(g, r_per_node=5, c=C, seed=4)
-    assert idx.rows == len(idx.trace_pdf)
-    assert idx.index_bytes() == 32 * idx.rows
-    assert idx.seconds_preprocess > 0
+    assert idx.index_bytes() == 32 * len(idx.trace_pdf) > 0
 
 
 def test_mc_query_oracle():
@@ -56,7 +54,7 @@ def test_mc_query_oracle():
     g = gen.load("GQ-lite")
     idx = mc.preprocess(g, r_per_node=20, c=C, seed=6)
     source = 7
-    s = mc.query(g, idx, source).scores
+    s = mc.query(g, idx, source)
     met = np.flatnonzero(s)
     met = met[met != source]
     assert_equivalent(

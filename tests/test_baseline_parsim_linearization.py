@@ -21,8 +21,8 @@ def test_parsim_error_plateaus_at_D_approximation():
     the Figure-1 plateau the paper highlights."""
     g = gen.load("GQ-lite")
     truth = power_truth("GQ-lite")[:, 0]
-    e20 = np.abs(parsim.parsim(g, 0, L=20, c=C).scores - truth).max()
-    e60 = np.abs(parsim.parsim(g, 0, L=60, c=C).scores - truth).max()
+    e20 = np.abs(parsim.parsim(g, 0, L=20, c=C) - truth).max()
+    e60 = np.abs(parsim.parsim(g, 0, L=60, c=C) - truth).max()
     assert e20 > 1e-4  # plateau well above exactness
     assert abs(e20 - e60) < 1e-4  # ... and flat in L
     # The plateau equals the best achievable with D=(1-c)I: compare against
@@ -35,7 +35,7 @@ def test_parsim_truncation_decays_before_plateau():
     g = gen.load("GQ-lite")
     truth = power_truth("GQ-lite")[:, 0]
     errs = [
-        np.abs(parsim.parsim(g, 0, L=L, c=C).scores - truth).max()
+        np.abs(parsim.parsim(g, 0, L=L, c=C) - truth).max()
         for L in (1, 3, 6)
     ]
     assert errs[0] > errs[1] > errs[2]
@@ -47,7 +47,7 @@ def test_parsim_ranks_well_despite_error():
     g = gen.load("GQ-lite")
     truth = power_truth("GQ-lite")
     r = parsim.parsim(g, 0, L=30, c=C)
-    p = metrics.precision_at_k(r.scores, truth[:, 0], 50, source=0)
+    p = metrics.precision_at_k(r, truth[:, 0], 50, source=0)
     assert p >= 0.85
 
 
@@ -57,7 +57,7 @@ def test_parsim_on_cycle_is_exact():
     r = parsim.parsim(g, 0, L=40, c=C)
     truth = np.zeros(5)
     truth[0] = 1.0
-    np.testing.assert_allclose(r.scores, truth, atol=1e-8)
+    np.testing.assert_allclose(r, truth, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_linearization_accuracy_and_index():
     idx = linearization.preprocess(g, eps=1e-1, c=C, seed=1, max_pairs=5_000_000)
     assert idx.index_bytes() == g.n * 8  # the index is just D (Figure 4)
     res = linearization.query(g, idx, 0, c=C)
-    assert np.abs(res.scores - truth).max() <= 1e-1
+    assert np.abs(res - truth).max() <= 1e-1
     # D̂ itself is entrywise close at this budget.
     assert np.abs(idx.d_hat - exact_d("GQ-lite")).max() < 0.05
 
@@ -97,8 +97,6 @@ def test_linearization_query_uses_given_D():
     only the c^L truncation."""
     g = gen.load("GQ-lite")
     truth = power_truth("GQ-lite")[:, 5]
-    idx = linearization.LinearizationIndex(
-        d_hat=exact_d("GQ-lite"), eps=1e-6, total_pairs=0, seconds_preprocess=0.0
-    )
+    idx = linearization.LinearizationIndex(d_hat=exact_d("GQ-lite"), eps=1e-6)
     res = linearization.query(g, idx, 5, c=C)
-    assert np.abs(res.scores - truth).max() < 1e-5
+    assert np.abs(res - truth).max() < 1e-5

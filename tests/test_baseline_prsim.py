@@ -30,8 +30,16 @@ def test_preprocess_entries_accounting():
     idx = prsim.preprocess(g, eps=1e-2, c=C, seed=1, max_pairs=10**6)
     # Each source's level vectors on a cycle have exactly one entry.
     L = linearized.iterations_for(1e-2, C)
-    assert idx.entries == 6 * (L + 1)
-    assert idx.index_bytes() == idx.entries * 32 + 6 * 8
+    assert len(idx.index_pdf) == 6 * (L + 1)
+    assert idx.index_bytes() == len(idx.index_pdf) * 32 + 6 * 8
+
+
+def test_preprocess_flags_a_capped_pair_budget():
+    """D̂'s theoretical PageRank allocation (~4e5 pairs here) is walked in
+    full without a cap and flagged ``capped`` when ``max_pairs`` cuts it."""
+    g = gen.tiny_cycle(6)
+    assert not prsim.preprocess(g, eps=1e-1, c=C, seed=1).capped
+    assert prsim.preprocess(g, eps=1e-1, c=C, seed=1, max_pairs=1000).capped
 
 
 def test_preprocess_budget_exceeded():
@@ -48,7 +56,7 @@ def test_query_close_to_truth_with_exact_D():
     idx = prsim.preprocess(g, eps=1e-2, c=C, seed=2, max_pairs=2_000_000)
     idx.d_hat = exact_d("GQ-lite")
     res = prsim.query(g, idx, 0, c=C)
-    assert np.abs(res.scores - truth[:, 0]).max() < 1e-2
+    assert np.abs(res - truth[:, 0]).max() < 1e-2
 
 
 def test_query_end_to_end_error_within_eps_scale():
@@ -56,7 +64,7 @@ def test_query_end_to_end_error_within_eps_scale():
     truth = power_truth("GQ-lite")
     idx = prsim.preprocess(g, eps=1e-1, c=C, seed=3, max_pairs=5_000_000)
     res = prsim.query(g, idx, 4, c=C)
-    assert np.abs(res.scores - truth[:, 4]).max() <= 1e-1
+    assert np.abs(res - truth[:, 4]).max() <= 1e-1
 
 
 def test_query_join_oracle():
@@ -66,7 +74,7 @@ def test_query_join_oracle():
     source = 9
     srows = prsim._source_rows(g, source, idx, C)
     srows["w"] = srows["val_i"] * idx.d_hat[srows["k"].to_numpy()]
-    s = prsim.query(g, idx, source, c=C).scores
+    s = prsim.query(g, idx, source, c=C)
     j = np.flatnonzero(s)
     assert_equivalent(
         pd.DataFrame({"j": j, "score": s[j]}),

@@ -1,4 +1,6 @@
 """Experiment harness + table producers (tiny configurations)."""
+import time
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,31 @@ def test_ground_truth_large_is_exactsim():
     )
     s = int(sources[0])
     assert np.abs(truth_pm[s] - truth_es[s]).max() < 1e-3
+
+
+def test_sweep_rows_time_every_build_and_query(gq_truth):
+    """The harness times each build and query itself: stand-ins that sleep
+    read at least their sleep times, and a real MC build reads above 0."""
+    g, sources, truth = gq_truth
+
+    class Index:
+        def index_bytes(self):
+            return 0
+
+    def build(param):
+        time.sleep(0.05)
+        return Index()
+
+    def query(index, source):
+        time.sleep(0.02)
+        return truth[source]
+
+    [row] = harness._sweep_index(g, sources, truth, harness.SweepConfig(), "Sleep",
+                                 "p={}", [1], build, query)
+    assert row.preprocess_s >= 0.05 and row.query_s >= 0.02
+    assert row.max_error == 0.0 and row.note == ""
+    cfg = harness.SweepConfig(mc_r=(5,))
+    assert harness.sweep_mc(g, sources, truth, cfg)[0].preprocess_s > 0
 
 
 def test_sweep_exactsim_rows(gq_truth):
@@ -82,6 +109,7 @@ def test_sweep_prsim_rows(gq_truth):
     rows = harness.sweep_prsim(g, sources, truth, cfg)
     assert rows[0].index_bytes > 0
     assert rows[0].max_error <= 1e-1
+    assert rows[0].note == "capped"  # ε=1e-1 asks for ~2e6 pairs on GQ-lite
 
 
 def test_sweep_all_rows_and_omissions(gq_truth):
@@ -137,7 +165,7 @@ def test_table2_rows_complete():
 
 
 def test_table3_rows_shape():
-    rows = tables.table3_rows(eps_mem=1e-5, datasets=["DB-lite"])
+    rows = tables.table3_rows(datasets=["DB-lite"])
     r = rows[0]
     # The Table-3 shape: basic > optimized, basic >= graph-size scale,
     # several-fold reduction from sparsification.

@@ -113,8 +113,8 @@ def test_meeting_join_counts_distinct_pairs():
             "pos": [5, 6, 7, 5, 5, 6, 9],
         }
     )
-    idx = mc.MCIndex(r_per_node=2, trace_pdf=traces, seconds_preprocess=0.0, rows=7)
-    s = mc.query(gen.tiny_star(2), idx, 0).scores
+    idx = mc.MCIndex(r_per_node=2, trace_pdf=traces)
+    s = mc.query(gen.tiny_star(2), idx, 0)
     # Node 1 walk 0 meets walk 0 of node 0 at both steps -> counted once.
     meets = np.rint(s[1:] * idx.r_per_node).astype(np.int64)
     assert meets.tolist() == [1, 1]
