@@ -30,7 +30,6 @@ def run():
             dataset=dataset,
             eps_grid=(1e-2, 1e-3, 1e-4),
             max_pairs=cap,
-            n_sources=len(sources),
             truth=truth,
         )
         print(f"== Figure 9 ablation: {dataset} (cap={cap:.0e} pairs) ==")

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.baselines import BudgetExceeded
+from repro.baselines import BudgetExceeded, check_unit_interval
 from repro.core import diagonal, linearized
 from repro.graphs.graph import Graph
 
@@ -49,6 +49,7 @@ def preprocess(
     max_pairs: Optional[int] = None,
 ) -> LinearizationIndex:
     """Estimate every ``D(k,k)`` to ε accuracy by pair-walk sampling."""
+    check_unit_interval(eps=eps, c=c)
     r_node = samples_per_node(graph.n, eps)
     total = r_node * graph.n
     if max_pairs is not None and total > max_pairs:
@@ -67,6 +68,7 @@ def query(
     graph: Graph, index: LinearizationIndex, source: int, *, c: float = 0.6
 ) -> np.ndarray:
     """Single-source query with the precomputed ``D̂`` (linearized engine)."""
+    check_unit_interval(c=c)
     L = linearized.iterations_for(index.eps, c)
     fwd = linearized.forward(graph.csr, source, c=c, L=L)
     return linearized.backward(graph.csr, fwd, index.d_hat, c=c)

@@ -1,12 +1,14 @@
 """MC baseline [Fogaras–Rácz]: √c-walk index + meeting-fraction queries.
 
-Preprocessing stores ``R`` √c-walks per node (the trace index from
+Preprocessing stores ``R`` √c-walks per node (the trace rows of
 ``walks.traces``).  A single-source query for ``v_i`` estimates ``S(i,j)`` as
 the fraction of walk indices ``r`` whose walk from ``v_i`` shares a
 ``(step, pos)`` with walk ``r`` from ``v_j`` — eq. (2)'s meeting probability.
 
-The query is one equi-join + distinct + group-count, run as a pandas merge
-(``query``); the DuckDB oracle replays the same SQL in tests.
+The index keeps each trace row as its packed ``(r, step, pos)`` key, sorted,
+beside its walk id ``node·R + r``; the query is one equi-join of the source's
+keys against them, then a count of the distinct walks met per node.  The
+DuckDB oracle replays the same join as SQL in tests.
 Accuracy scales as ``√(log n / R)`` — the ``O(n log n/ε²)`` preprocessing
 wall the paper highlights.
 """
@@ -15,20 +17,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
+from repro.baselines import check_unit_interval, matching_rows
 from repro.graphs.graph import Graph
 from repro.walks import traces
+from repro.walks.pair_walks import MAX_STEPS
 
 
 @dataclass
 class MCIndex:
     r_per_node: int
-    trace_pdf: pd.DataFrame
+    key: np.ndarray  # (r·(MAX_STEPS+1) + step)·2³² + pos, sorted
+    walk: np.ndarray  # node·R + r of each key's row
 
     def index_bytes(self) -> int:
-        """Stored traces: 4 int64 columns per row."""
-        return len(self.trace_pdf) * 32
+        """The arrays the index holds."""
+        return self.key.nbytes + self.walk.nbytes
+
+
+def from_traces(
+    node: np.ndarray, r: np.ndarray, step: np.ndarray, pos: np.ndarray, *, r_per_node: int
+) -> MCIndex:
+    """The index over trace rows ``(node, r, step, pos)`` (``pos < 2³²``)."""
+    key = (r * (MAX_STEPS + 1) + step) << 32 | pos
+    order = np.argsort(key)
+    return MCIndex(r_per_node, key[order], (node * r_per_node + r)[order])
 
 
 def preprocess(
@@ -39,32 +52,21 @@ def preprocess(
     seed: int = 0,
 ) -> MCIndex:
     """Simulate and store R √c-walks per node."""
-    pdf = traces.trace_rows(graph, r_per_node=r_per_node, c=c, seed=seed)
-    return MCIndex(r_per_node, pdf)
-
-
-def _scores_from_counts(
-    graph: Graph, source: int, r: int, counts: pd.DataFrame
-) -> np.ndarray:
-    s = np.zeros(graph.n)
-    if len(counts):
-        s[counts["node"].to_numpy()] = counts["meets"].to_numpy() / r
-    s[source] = 1.0  # S(i,i) = 1 by definition; the index never compares i to i
-    return s
+    if r_per_node < 1:
+        raise ValueError(f"r_per_node must be >= 1, got {r_per_node!r}")
+    check_unit_interval(c=c)
+    rows = traces.trace_rows(graph, r_per_node=r_per_node, c=c, seed=seed)
+    return from_traces(*rows, r_per_node=r_per_node)
 
 
 def query(graph: Graph, index: MCIndex, source: int) -> np.ndarray:
-    """Meeting counts of the source's walks against every other node's."""
+    """Distinct walks of every other node that meet the source's walk of the
+    same ``r``, over ``R``."""
     if not 0 <= source < graph.n:
         raise ValueError("source out of range")
-    t = index.trace_pdf
-    ti = t[t["node"] == source][["r", "step", "pos"]]
-    joined = t.merge(ti, on=["r", "step", "pos"], how="inner")
-    counts = (
-        joined[joined["node"] != source][["node", "r"]]
-        .drop_duplicates()
-        .groupby("node", as_index=False)
-        .size()
-        .rename(columns={"size": "meets"})
-    )
-    return _scores_from_counts(graph, source, index.r_per_node, counts)
+    R = index.r_per_node
+    rows, _ = matching_rows(index.key, index.key[index.walk // R == source])
+    met = np.unique(index.walk[rows])  # the source's own walks included
+    s = np.bincount(met // R, minlength=graph.n) / R
+    s[source] = 1.0  # S(i,i) = 1 by definition, whatever its walks counted
+    return s

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines import check_unit_interval
 from repro.core import linearized
 from repro.graphs.graph import Graph
 
@@ -24,6 +25,9 @@ def parsim(graph: Graph, source: int, *, L: int, c: float = 0.6) -> np.ndarray:
     would flatten ParSim's MaxError curve at ``c`` and hide the off-diagonal
     plateau the paper's figures actually show.
     """
+    if L < 0:
+        raise ValueError(f"L must be >= 0, got {L!r}")
+    check_unit_interval(c=c)
     d_hat = np.full(graph.n, 1.0 - c)
     fwd = linearized.forward(graph.csr, source, c=c, L=L)
     scores = linearized.backward(graph.csr, fwd, d_hat, c=c)

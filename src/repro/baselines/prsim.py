@@ -25,26 +25,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 
-from repro.baselines import BudgetExceeded
+from repro.baselines import BudgetExceeded, check_unit_interval, matching_rows
 from repro.core import diagonal, linearized
 from repro.graphs.graph import Graph
 from repro.linalg import matvec as mv
 
 
-def _levels_to_rows(src: int, levels) -> pd.DataFrame:
-    frames = []
-    for ell, (idx, val) in enumerate(levels):
-        if idx.size:
-            frames.append(
-                pd.DataFrame(
-                    {"ell": ell, "k": idx, "j": np.int64(src), "val": val}
-                )
-            )
-    if not frames:
-        return pd.DataFrame({"ell": [], "k": [], "j": [], "val": []})
-    return pd.concat(frames, ignore_index=True)
+def _keyed(levels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ℓ-hop vectors ``[(k, π^ℓ(k)) for ℓ = 0..L]`` as one array of keys
+    ``ℓ·n + k`` and one of values."""
+    keys = [ell * n + idx for ell, (idx, _) in enumerate(levels)]
+    return np.concatenate(keys), np.concatenate([val for _, val in levels])
 
 
 def pagerank_ppr(graph: Graph, *, c: float, L: int) -> np.ndarray:
@@ -64,11 +56,13 @@ class PRSimIndex:
     L: int
     d_hat: np.ndarray
     capped: bool  # D̂'s pair budget was cut to ``max_pairs``
-    index_pdf: pd.DataFrame  # (ell, k, j, val)
+    key: np.ndarray  # ℓ·n + k, sorted
+    j: np.ndarray  # the node whose vector holds the entry
+    val: np.ndarray  # π_j^ℓ(k)
 
     def index_bytes(self) -> int:
-        """Stored (ell, k, j, val) rows + the diagonal estimate."""
-        return len(self.index_pdf) * 32 + self.d_hat.shape[0] * 8
+        """The arrays the index holds, the diagonal estimate included."""
+        return self.key.nbytes + self.j.nbytes + self.val.nbytes + self.d_hat.nbytes
 
 
 def preprocess(
@@ -88,6 +82,7 @@ def preprocess(
     ``max_entries`` it forms the "omitted (> 24 h)" budget rule for this
     index-based baseline.
     """
+    check_unit_interval(eps=eps, c=c)
     L = linearized.iterations_for(eps, c)
     thr = linearized.sparse_threshold(eps, c)
 
@@ -101,7 +96,7 @@ def preprocess(
     d_hat = diagonal.estimate_D_mc(graph, nodes, counts, c=c, seed=seed)
 
     # --- the vectors index. ---
-    frames = []
+    keys, vals = [], []
     entries = 0
     push_edges = 0
     for s in range(graph.n):
@@ -116,29 +111,28 @@ def preprocess(
             raise BudgetExceeded(
                 f"PRSim push work exceeds {max_push_edges:.2e} edges at eps={eps}"
             )
-        frames.append(_levels_to_rows(s, fwd.levels))
-    pdf = pd.concat(frames, ignore_index=True)
-    pdf = pdf.astype({"ell": "int64", "k": "int64", "j": "int64", "val": "float64"})
-    return PRSimIndex(eps, L, d_hat, total < theory, pdf)
-
-
-def _source_rows(graph: Graph, source: int, index: PRSimIndex, c: float) -> pd.DataFrame:
-    fwd = linearized.forward(
-        graph.csr, source, c=c, L=index.L,
-        threshold=linearized.sparse_threshold(index.eps, c),
-    )
-    rows = _levels_to_rows(source, fwd.levels).rename(columns={"val": "val_i"})
-    return rows.drop(columns=["j"]).astype({"ell": "int64", "k": "int64"})
+        key, val = _keyed(fwd.levels, graph.n)
+        keys.append(key)
+        vals.append(val)
+    j = np.repeat(np.arange(graph.n), [key.size for key in keys])
+    key = np.concatenate(keys)
+    order = np.argsort(key)
+    val = np.concatenate(vals)
+    return PRSimIndex(eps, L, d_hat, total < theory, key[order], j[order], val[order])
 
 
 def query(
     graph: Graph, index: PRSimIndex, source: int, *, c: float = 0.6
 ) -> np.ndarray:
-    """Eq.-7 join on pandas: source levels ⋈ index on (ℓ, k), weight by D̂."""
-    srows = _source_rows(graph, source, index, c)
-    srows["w"] = srows["val_i"] * index.d_hat[srows["k"].to_numpy()]
-    joined = index.index_pdf.merge(srows[["ell", "k", "w"]], on=["ell", "k"])
-    agg = joined.assign(term=joined["val"] * joined["w"]).groupby("j")["term"].sum()
-    s = np.zeros(graph.n)
-    s[agg.index.to_numpy()] = agg.to_numpy() / (1.0 - math.sqrt(c)) ** 2
-    return s
+    """Eq. 7 as a join: the source's ``ℓ·n + k`` keys probe the index, and
+    each matched entry adds ``π_j^ℓ(k) · π_i^ℓ(k) · D̂(k)`` to ``s(j)``."""
+    check_unit_interval(c=c)
+    fwd = linearized.forward(
+        graph.csr, source, c=c, L=index.L,
+        threshold=linearized.sparse_threshold(index.eps, c),
+    )
+    keys, val = _keyed(fwd.levels, graph.n)
+    rows, counts = matching_rows(index.key, keys)
+    w = np.repeat(val * index.d_hat[keys % graph.n], counts)
+    s = np.bincount(index.j[rows], weights=index.val[rows] * w, minlength=graph.n)
+    return s / (1.0 - math.sqrt(c)) ** 2

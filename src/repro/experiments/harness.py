@@ -45,11 +45,14 @@ class Row:
     note: str = ""
 
     def fmt(self) -> str:
+        """One printed line; an omitted point's measurements print ``-``."""
+        pre = "-" if np.isnan(self.preprocess_s) else f"{self.preprocess_s:.2f}s"
+        q = "-" if np.isnan(self.query_s) else f"{self.query_s:.4f}s"
         me = "-" if np.isnan(self.max_error) else f"{self.max_error:.2e}"
         pk = "-" if np.isnan(self.precision_at_k) else f"{self.precision_at_k:.3f}"
         return (
             f"{self.dataset:8s} {self.method:16s} {self.param:12s} "
-            f"pre={self.preprocess_s:8.2f}s q={self.query_s:7.3f}s "
+            f"pre={pre:>9s} q={q:>8s} "
             f"idx={self.index_bytes / 1e6:8.2f}MB maxerr={me:>9s} "
             f"P@k={pk:>6s} {self.note}"
         )

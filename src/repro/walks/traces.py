@@ -8,14 +8,13 @@ differ there).
 
 ``Ŝ(i, j)`` = fraction of indices ``r`` for which walk ``r`` of ``i`` and
 walk ``r`` of ``j`` share some ``(step, pos)`` — a plain equi-join, which the
-MC baseline executes in pandas (and which the DuckDB oracle can replay
-verbatim).
+MC baseline runs over its sorted ``(r, step, pos)`` keys (and which the
+DuckDB oracle can replay verbatim).
 """
 from __future__ import annotations
 
 import math
 import numpy as np
-import pandas as pd
 
 from repro.graphs.graph import CSRGraph, Graph
 from repro.walks.pair_walks import MAX_STEPS
@@ -61,29 +60,17 @@ def walk_trace_arrays(
 
 def trace_rows(
     graph: Graph, *, r_per_node: int, c: float, seed: int
-) -> pd.DataFrame:
-    """Trace rows ``(node, r, step, pos)`` of R √c-walks from every node.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trace rows ``(node, r, step, pos)``, as four int64 arrays, of R
+    √c-walks from every node.
 
     Nodes go in chunks of 64, each with its own generator seeded from
     ``(seed, first node)``, so a configuration replays the same walks.
     """
-    csr = graph.csr
-    frames = []
+    chunks = []
     for lo in range(0, graph.n, 64):
-        ns = np.arange(lo, min(lo + 64, graph.n), dtype=np.int64)
-        starts = np.repeat(ns, r_per_node)
+        starts = np.repeat(np.arange(lo, min(lo + 64, graph.n), dtype=np.int64), r_per_node)
         rng = np.random.default_rng((seed * 1_000_003 + lo) & 0x7FFFFFFF)
-        widx, step, pos = walk_trace_arrays(csr, starts, c=c, rng=rng)
-        frames.append(
-            pd.DataFrame(
-                {
-                    "node": starts[widx],
-                    "r": (widx % r_per_node).astype(np.int64),
-                    "step": step,
-                    "pos": pos,
-                }
-            )
-        )
-    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame(
-        columns=["node", "r", "step", "pos"], dtype=np.int64
-    )
+        widx, step, pos = walk_trace_arrays(graph.csr, starts, c=c, rng=rng)
+        chunks.append((starts[widx], widx % r_per_node, step, pos))
+    return tuple(np.concatenate(col) for col in zip(*chunks))

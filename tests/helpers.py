@@ -7,11 +7,13 @@ session.
 from functools import lru_cache
 
 import numpy as np
+import pandas as pd
 
 from repro.baselines.power_method import simrank_power
 from repro.core import diagonal
 from repro.graphs import generators as gen
 from repro.linalg import matvec as mv
+from repro.walks.pair_walks import MAX_STEPS
 
 
 @lru_cache(maxsize=None)
@@ -42,3 +44,18 @@ def expand_sparse(csr, keys, val, *, prune=0.0):
         return keys[:0], val[:0], 0
     out, acc, edges = zip(*blocks)
     return np.concatenate(out), np.concatenate(acc), sum(edges)
+
+
+def trace_frame(index) -> pd.DataFrame:
+    """An MC index's rows as the trace table ``(node, r, step, pos)``,
+    unpacked from its ``walk = node·R + r`` and its key
+    ``(r·(MAX_STEPS+1) + step)·2³² + pos``."""
+    R = index.r_per_node
+    return pd.DataFrame(
+        {
+            "node": index.walk // R,
+            "r": index.walk % R,
+            "step": (index.key >> 32) % (MAX_STEPS + 1),
+            "pos": index.key & 0xFFFFFFFF,
+        }
+    )

@@ -5,7 +5,7 @@ import pandas as pd
 from repro.baselines import mc
 from repro.graphs import generators as gen
 from repro.oracle import assert_equivalent
-from tests.helpers import power_truth
+from tests.helpers import power_truth, trace_frame
 
 C = 0.6
 
@@ -44,9 +44,11 @@ def test_mc_error_shrinks_with_r():
 
 
 def test_mc_index_accounting():
+    """``index_bytes()`` is what the index holds: its two arrays, one int64
+    key and one int64 walk id per trace row."""
     g = gen.load("GQ-lite")
     idx = mc.preprocess(g, r_per_node=5, c=C, seed=4)
-    assert idx.index_bytes() == 32 * len(idx.trace_pdf) > 0
+    assert idx.index_bytes() == idx.key.nbytes + idx.walk.nbytes == 16 * idx.key.size > 0
 
 
 def test_mc_query_oracle():
@@ -67,5 +69,5 @@ def test_mc_query_oracle():
         WHERE t.node <> {source}
         GROUP BY t.node
         """,
-        traces=idx.trace_pdf,
+        traces=trace_frame(idx),
     )

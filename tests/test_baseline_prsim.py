@@ -30,8 +30,11 @@ def test_preprocess_entries_accounting():
     idx = prsim.preprocess(g, eps=1e-2, c=C, seed=1, max_pairs=10**6)
     # Each source's level vectors on a cycle have exactly one entry.
     L = linearized.iterations_for(1e-2, C)
-    assert len(idx.index_pdf) == 6 * (L + 1)
-    assert idx.index_bytes() == len(idx.index_pdf) * 32 + 6 * 8
+    assert idx.key.size == idx.j.size == idx.val.size == 6 * (L + 1)
+    # index_bytes() is what the index holds: its three arrays and D̂.
+    assert idx.index_bytes() == (
+        idx.key.nbytes + idx.j.nbytes + idx.val.nbytes + idx.d_hat.nbytes
+    ) == 6 * (L + 1) * 24 + 6 * 8
 
 
 def test_preprocess_flags_a_capped_pair_budget():
@@ -72,8 +75,14 @@ def test_query_join_oracle():
     g = gen.load("GQ-lite")
     idx = prsim.preprocess(g, eps=1e-1, c=C, seed=5, max_pairs=500_000)
     source = 9
-    srows = prsim._source_rows(g, source, idx, C)
-    srows["w"] = srows["val_i"] * idx.d_hat[srows["k"].to_numpy()]
+    fwd = linearized.forward(
+        g.csr, source, c=C, L=idx.L, threshold=linearized.sparse_threshold(idx.eps, C)
+    )
+    srows = pd.DataFrame(
+        [(ell, k, v * idx.d_hat[k]) for ell, (ks, vs) in enumerate(fwd.levels)
+         for k, v in zip(ks, vs)],
+        columns=["ell", "k", "w"],
+    )
     s = prsim.query(g, idx, source, c=C)
     j = np.flatnonzero(s)
     assert_equivalent(
@@ -83,6 +92,8 @@ def test_query_join_oracle():
         FROM index_pdf i JOIN srows s ON i.ell = s.ell AND i.k = s.k
         GROUP BY i.j
         """,
-        index_pdf=idx.index_pdf,
-        srows=srows[["ell", "k", "w"]],
+        index_pdf=pd.DataFrame(
+            {"ell": idx.key // g.n, "k": idx.key % g.n, "j": idx.j, "val": idx.val}
+        ),
+        srows=srows,
     )

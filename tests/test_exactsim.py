@@ -165,6 +165,37 @@ def test_every_query_rejects_a_source_outside_the_graph(entry, at):
 
 
 @pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda g: mc.preprocess(g, r_per_node=0), "r_per_node", id="mc-r=0"),
+        pytest.param(lambda g: mc.preprocess(g, r_per_node=5, c=1.0), "c must", id="mc-c=1"),
+        pytest.param(
+            lambda g: linearization.preprocess(g, eps=-0.1), "eps", id="linearization-eps<0"
+        ),
+        pytest.param(lambda g: linearization.preprocess(g, eps=5), "eps", id="linearization-eps=5"),
+        pytest.param(
+            lambda g: linearization.query(g, linearization.preprocess(g, eps=0.5), 0, c=0.0),
+            "c must", id="linearization-query-c=0",
+        ),
+        pytest.param(lambda g: prsim.preprocess(g, eps=0), "eps", id="prsim-eps=0"),
+        pytest.param(lambda g: prsim.preprocess(g, eps=0.5, c=-0.6), "c must", id="prsim-c<0"),
+        pytest.param(
+            lambda g: prsim.query(g, prsim.preprocess(g, eps=0.5), 0, c=1.5),
+            "c must", id="prsim-query-c>1",
+        ),
+        pytest.param(lambda g: parsim.parsim(g, 0, L=-1), "L must", id="parsim-L<0"),
+        pytest.param(lambda g: parsim.parsim(g, 0, L=3, c=0.0), "c must", id="parsim-c=0"),
+    ],
+)
+def test_every_baseline_rejects_bad_parameters(call, match):
+    """The baselines reject what ``exactsim`` rejects — ε and c outside
+    (0, 1) — and a walk count below 1 or a negative ParSim ``L``, instead of
+    returning an index or scores built from them."""
+    with pytest.raises(ValueError, match=match):
+        call(gen.tiny_star(3))
+
+
+@pytest.mark.parametrize(
     "kwargs, match",
     [
         pytest.param({"eps": 0.0}, "eps", id="eps=0"),

@@ -149,6 +149,12 @@ def test_row_formatting(gq_truth):
     row = harness.sweep_parsim(g, sources, truth, cfg)[0]
     s = row.fmt()
     assert "ParSim" in s and "L=5" in s
+    # An omitted point prints "-" for its times too, in the same columns.
+    cfg = harness.SweepConfig(max_pairs=1000, mc_r=(10_000,))
+    omitted = harness.sweep_mc(g, sources, truth, cfg)[0].fmt()
+    assert "nan" not in omitted
+    assert omitted.split()[3:7] == ["pre=", "-", "q=", "-"]
+    assert [omitted.index(f) for f in ("q=", "idx=")] == [s.index(f) for f in ("q=", "idx=")]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +194,7 @@ def test_ablation_rows_shape():
     errors = {"basic": [], "opt": []}
     for seed in range(12):
         rows = tables.ablation_rows(
-            dataset="GQ-lite", eps_grid=(1e-3,), max_pairs=200_000, n_sources=1,
-            seed=seed, truth=truth,
+            dataset="GQ-lite", eps_grid=(1e-3,), max_pairs=200_000, seed=seed, truth=truth,
         )
         by_variant = {r["variant"]: r for r in rows}
         assert by_variant["opt"]["pairs_simulated"] < by_variant["basic"]["pairs_simulated"]

@@ -1,7 +1,8 @@
 """Every imported name is used: a stdlib-``ast`` stand-in for a linter's
 unused-import rule, over the package, the jobs, the tests and the
 benchmarks.  ``__init__.py`` files (re-exports) and ``from __future__``
-imports are exempt."""
+imports are exempt.  And only an allowlist of package modules imports
+pandas."""
 import ast
 from pathlib import Path
 
@@ -14,6 +15,11 @@ MODULES = sorted(
     for p in (ROOT / d).rglob("*.py")
     if p.name != "__init__.py"
 )
+
+#: The package modules that may import pandas: ``graphs/graph.py`` for
+#: ``edges_pdf`` (the DuckDB input), the oracle, and ``core/local_push.py``
+#: for the stats frame the benchmark's tracer reads (ROADMAP item 1).
+PANDAS_ALLOWED = {"graphs/graph.py", "oracle.py", "core/local_push.py"}
 
 
 def unused_imports(source: str) -> list:
@@ -39,3 +45,30 @@ def test_unused_imports_are_caught():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules ``source`` imports."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    src = "import pandas.api\nfrom numpy import array\nfrom . import x\n"
+    assert imported_modules(src) == {"pandas", "numpy"}
+
+
+def test_only_allowlisted_package_modules_import_pandas():
+    pkg = ROOT / "src" / "repro"
+    users = {
+        p.relative_to(pkg).as_posix()
+        for p in pkg.rglob("*.py")
+        if "pandas" in imported_modules(p.read_text())
+    }
+    assert users <= PANDAS_ALLOWED, sorted(users - PANDAS_ALLOWED)

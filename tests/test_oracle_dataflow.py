@@ -14,7 +14,7 @@ from repro.baselines import mc
 from repro.graphs import generators as gen
 from repro.linalg import matvec as mv
 from repro.oracle import assert_equivalent
-from tests.helpers import TRANSITION_SQL
+from tests.helpers import TRANSITION_SQL, trace_frame
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def test_meeting_join_counts_distinct_pairs():
             "pos": [5, 6, 7, 5, 5, 6, 9],
         }
     )
-    idx = mc.MCIndex(r_per_node=2, trace_pdf=traces)
+    idx = mc.from_traces(*(traces[col].to_numpy() for col in traces), r_per_node=2)
     s = mc.query(gen.tiny_star(2), idx, 0)
     # Node 1 walk 0 meets walk 0 of node 0 at both steps -> counted once.
     meets = np.rint(s[1:] * idx.r_per_node).astype(np.int64)
@@ -128,7 +128,7 @@ def test_meeting_join_counts_distinct_pairs():
         WHERE t.node <> 0
         GROUP BY t.node
         """,
-        traces=traces,
+        traces=trace_frame(idx),
     )
 
 

@@ -386,6 +386,6 @@ def test_trace_rows_local_deterministic():
     g = gen.load("GQ-lite")
     a = traces.trace_rows(g, r_per_node=3, c=C, seed=6)
     b = traces.trace_rows(g, r_per_node=3, c=C, seed=6)
-    assert a.equals(b)
-    assert set(a.columns) == {"node", "r", "step", "pos"}
-    assert a["r"].max() <= 2
+    assert len(a) == 4 and all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert all(x.dtype == np.int64 for x in a)
+    assert a[1].max() <= 2  # r
