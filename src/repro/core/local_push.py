@@ -12,9 +12,11 @@ keeps one packed row set: every live ``M^t(q',·)`` row is a run of
 ``row·n + node`` keys, its birth level and its coefficient ``Z_t(k,q')`` sit
 in two per-row arrays, and a level is one push of all rows
 (``linalg.matvec.push_blocks``) whose cache-sized blocks are folded into
-``Z_ℓ`` and into the next level as they come.  The next level stops being
-stored as soon as its cost is out of budget, so the last level a head
-pushes is never held whole.
+``Z_ℓ`` and into the next level as they come.  The blocks of a level are
+pushed on ``matvec.PUSH_THREADS`` threads and arrive in block order, while
+the fold stays serial in the caller's thread, so ``Z_ℓ`` and every score
+keep their bits.  The next level stops being stored as soon as its cost is
+out of budget, so the last level a head pushes is never held whole.
 
 ``ℓ(k)`` is chosen adaptively: expansion stops once the traversed-edge
 counter ``E_k`` exceeds ``2R(k)/√c`` — the expected edge cost of simulating
@@ -34,7 +36,8 @@ through ``pair_walks.count_meetings``: slices of ``CHUNK`` pairs, each on its
 own stream, spread over one thread per core.  One hub node (the source
 itself) can hold most of a query's work: on Spark its batch (batch 0, the
 largest ``R(k)``) shares a task only with batches ``par, 2·par, …``, and
-that task sets the phase's time; its tail slices still use every core.
+that task sets the phase's time; its head's blocks still use
+``PUSH_THREADS`` threads and its tail slices every core.
 """
 from __future__ import annotations
 

@@ -7,13 +7,14 @@ that beats the whole edge list, so the backward pass pays for the edges it
 uses, not for all ``m``.  :func:`push_blocks` is the one local-push
 kernel: its cost scales with the pushed support, and it advances many sparse
 vectors at once through ``row·n + node`` keys, in cache-sized blocks of
-whole rows that it yields one by one.  Algorithm 3's ``M^t`` rows consume
-the blocks as they come; the forward pass pushes one vector, which is one
-row and so one block.  The push sums through :func:`accumulate` (a dense
-bincount, or a sort: one packed ``np.sort`` for many terms, ``np.unique``
-for few), which Algorithm 3's small ``Z_ℓ`` levels also use.  Every path
-adds each sum's terms in input order, so blocks, sort and switch never
-change a bit of a result.
+whole rows that it computes on :data:`PUSH_THREADS` threads and yields one
+by one, in order.  Algorithm 3's ``M^t`` rows consume the blocks as they
+come; the forward pass pushes one vector, which is one row and so one
+block, pushed in the caller's thread.  The push sums through
+:func:`accumulate` (a dense bincount, or a sort: one packed ``np.sort`` for
+many terms, ``np.unique`` for few), which Algorithm 3's small ``Z_ℓ``
+levels also use.  Every path adds each sum's terms in input order, so
+blocks, threads, sort and switch never change a bit of a result.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -23,6 +24,9 @@ Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 """
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -32,6 +36,14 @@ from repro.graphs.graph import CSRGraph
 #: Pushed edges per block in :func:`push_blocks`: a block's targets,
 #: weights and sort keys (8 bytes each per edge) stay within a core's L2.
 BLOCK = 1 << 16
+
+#: Threads that push the blocks of a multi-block :func:`push_blocks` call.
+#: On a 4-core x86 host two threads cut DB-lite's heaviest Algorithm-3 head
+#: (source 23086, ε = 1e-4) from 0.57 to 0.40 s; four ran no faster than
+#: two, and blocks of 2^17 or 2^18 edges were no faster than 2^16.  Each
+#: thread costs a glibc malloc arena: an IT-lite query loop's peak RSS rose
+#: 7% with two threads and 15-16% with four, whatever the blocks in flight.
+PUSH_THREADS = 2
 
 #: Below this many terms :func:`accumulate` sorts with ``np.unique``, whose
 #: fewer numpy calls cost less than the packed sort's; above it the packed
@@ -122,8 +134,12 @@ def push_blocks(
     row, whose temporaries stay in cache.  Its rows must come in ascending
     order, each row's entries together: then a row never spans two blocks,
     each key still adds its terms in input order, and the blocks come out in
-    key order.  Entries at dead ends push nothing; a push with no edges
-    yields no block.
+    key order.  The blocks of a push of more than one block are computed on
+    :data:`PUSH_THREADS` threads, at most ``2·PUSH_THREADS`` of them ahead of
+    the caller, and yielded in block order, so the caller sees the same
+    sequence, bit for bit, as from one thread; a push of one block starts no
+    thread.  Entries at dead ends push nothing; a push with no edges yields
+    no block.
     """
     n = csr.n
     node = keys % n
@@ -145,11 +161,27 @@ def push_blocks(
     # Cut before the first row starting past each multiple of BLOCK edges.
     cuts = starts[np.flatnonzero(np.diff(ends[starts - 1] // BLOCK, prepend=0))]
     bounds = [0, *cuts.tolist(), keys.size]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+
+    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
         first = base[lo]
         k, a = _push(csr, base[lo:hi] - first, node[lo:hi], val[lo:hi], counts[lo:hi], prune)
         k += first
-        yield k, a, int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
+        return k, a, int(ends[hi - 1] - (ends[lo - 1] if lo else 0))
+
+    if len(bounds) == 2:  # one block, such as a forward hop's one row
+        yield block(0, keys.size)
+        return
+    todo = zip(bounds[:-1], bounds[1:])
+    pool = ThreadPoolExecutor(PUSH_THREADS)
+    try:
+        running = deque(pool.submit(block, lo, hi) for lo, hi in islice(todo, 2 * PUSH_THREADS))
+        while running:
+            done = running.popleft().result()
+            for lo, hi in islice(todo, 1):
+                running.append(pool.submit(block, lo, hi))
+            yield done
+    finally:  # also when the caller stops early: drop queued blocks, join threads
+        pool.shutdown(cancel_futures=True)
 
 
 def _push(

@@ -49,13 +49,13 @@ def expand_sparse(csr, keys, val, *, prune=0.0):
 def trace_frame(index) -> pd.DataFrame:
     """An MC index's rows as the trace table ``(node, r, step, pos)``,
     unpacked from its ``walk = node·R + r`` and its key
-    ``(r·(MAX_STEPS+1) + step)·2³² + pos``."""
+    ``(r·(MAX_STEPS+1) + step)·span + pos``."""
     R = index.r_per_node
     return pd.DataFrame(
         {
             "node": index.walk // R,
             "r": index.walk % R,
-            "step": (index.key >> 32) % (MAX_STEPS + 1),
-            "pos": index.key & 0xFFFFFFFF,
+            "step": (index.key // index.span) % (MAX_STEPS + 1),
+            "pos": index.key % index.span,
         }
     )

@@ -51,6 +51,29 @@ def test_mc_index_accounting():
     assert idx.index_bytes() == idx.key.nbytes + idx.walk.nbytes == 16 * idx.key.size > 0
 
 
+def test_mc_index_sorts_wide_keys_with_argsort(monkeypatch):
+    """Positions too wide to pack each key with its row in 63 bits take the
+    ``argsort`` path: its keys and each key's walks equal the packed
+    sort's, and every source's scores are equal."""
+    g = gen.load("GQ-lite")
+    from repro.walks import traces
+
+    node, r, step, pos = traces.trace_rows(g, r_per_node=20, c=C, seed=6)
+    narrow = mc.from_traces(node, r, step, pos, r_per_node=20)
+    calls = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    wide = mc.from_traces(node, r, step, pos + (1 << 45), r_per_node=20)
+    assert calls == [1]
+    assert np.array_equal(wide.key % wide.span - (1 << 45), narrow.key % narrow.span)
+    assert np.array_equal(wide.key // wide.span, narrow.key // narrow.span)
+    bounds = np.flatnonzero(np.diff(narrow.key)) + 1
+    for w, n_ in zip(np.split(wide.walk, bounds), np.split(narrow.walk, bounds)):
+        assert np.array_equal(np.sort(w), np.sort(n_))
+    for source in range(0, g.n, 37):
+        assert np.array_equal(mc.query(g, wide, source), mc.query(g, narrow, source))
+
+
 def test_mc_query_oracle():
     """Replay the meeting-count join in DuckDB over the same trace table."""
     g = gen.load("GQ-lite")

@@ -244,6 +244,24 @@ def test_basic_walk_engine_spark_matches_local(spark):
     np.testing.assert_array_equal(a.scores, b.scores)
 
 
+def test_threaded_head_blocks_keep_every_bit(monkeypatch):
+    """The benchmark's heaviest head (DB-lite source 23086, opt, ε = 1e-4,
+    1e7 pairs) pushes its levels' blocks on ``PUSH_THREADS`` threads; its
+    scores equal those of one thread, bit for bit."""
+    from repro.linalg import matvec as mv
+
+    g = gen.load("DB-lite")
+    pools = []
+    real = mv.ThreadPoolExecutor
+    monkeypatch.setattr(mv, "ThreadPoolExecutor", lambda w: pools.append(w) or real(w))
+    got = exactsim(g, 23086, eps=1e-4, variant="opt", max_pairs=10**7)
+    assert pools and set(pools) == {mv.PUSH_THREADS} != {1}
+    monkeypatch.setattr(mv, "PUSH_THREADS", 1)
+    want = exactsim(g, 23086, eps=1e-4, variant="opt", max_pairs=10**7)
+    assert got.scores.dtype == want.scores.dtype
+    assert np.array_equal(got.scores, want.scores)
+
+
 def test_source_similarity_close_to_one():
     """s(i) estimates S(i,i) = 1; with a decent budget it must be close."""
     g = gen.load("GQ-lite")

@@ -260,6 +260,85 @@ def test_expand_sparse_rejects_descending_rows(monkeypatch):
         expand_sparse(g.csr, keys, np.ones(2))
 
 
+def _spy_pools(monkeypatch):
+    """Record the thread count of every ``ThreadPoolExecutor`` that
+    ``matvec`` constructs."""
+    real, pools = mv.ThreadPoolExecutor, []
+
+    def spy(workers):
+        pools.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(mv, "ThreadPoolExecutor", spy)
+    return pools
+
+
+def test_threaded_blocks_match_one_thread(monkeypatch):
+    """A multi-row push of many 64-edge blocks yields the same sequence of
+    ``(keys, values, edges)``, bits and dtypes, on ``PUSH_THREADS`` threads
+    as on one, with and without the prune."""
+    csr, keys, val = _rows_with_dead_ends("DB-lite")
+    monkeypatch.setattr(mv, "BLOCK", 64)
+    pools = _spy_pools(monkeypatch)
+    for prune in (0.0, 1e-4):
+        got = list(mv.push_blocks(csr, keys, val, prune=prune))
+        with monkeypatch.context() as m:
+            m.setattr(mv, "PUSH_THREADS", 1)
+            want = list(mv.push_blocks(csr, keys, val, prune=prune))
+        assert len(got) == len(want) > 1 + 2 * mv.PUSH_THREADS
+        for (gk, gv, ge), (wk, wv, we) in zip(got, want):
+            assert gk.dtype == wk.dtype and gv.dtype == wv.dtype
+            assert np.array_equal(gk, wk) and np.array_equal(gv, wv) and ge == we
+    assert pools == [mv.PUSH_THREADS, 1] * 2
+
+
+def test_one_block_pushes_start_no_thread(monkeypatch):
+    """A push that fits in one block, and every hop of a forward pass (one
+    row, larger than a 64-edge block), run in the caller's thread."""
+    from repro.core import linearized
+
+    g = gen.load("DB-lite")
+    monkeypatch.setattr(mv, "BLOCK", 64)
+    pools = _spy_pools(monkeypatch)
+    a, b = np.flatnonzero((g.csr.din > 0) & (g.csr.din <= 20))[:2]
+    two_rows = np.array([a, g.n + b], dtype=np.int64)
+    assert len(list(mv.push_blocks(g.csr, two_rows, np.ones(2)))) == 1
+    fwd = linearized.forward(g.csr, 0, c=0.6, L=linearized.iterations_for(1e-5, 0.6),
+                             threshold=linearized.sparse_threshold(1e-5, 0.6))
+    assert fwd.edges > 64 * len(fwd.levels)  # hops of many blocks' edges
+    assert pools == []
+
+
+def test_threaded_blocks_run_at_most_two_per_thread_ahead(monkeypatch):
+    """A consumer that has taken one block has started at most
+    ``1 + 2·PUSH_THREADS`` block pushes, and closing the generator there
+    (as ``next()`` leaves it) leaves no pool thread alive."""
+    import threading
+
+    csr, keys, val = _rows_with_dead_ends("DB-lite")
+    monkeypatch.setattr(mv, "BLOCK", 64)
+    blocks = len(list(mv.push_blocks(csr, keys, val)))
+    assert blocks > 2 + 2 * mv.PUSH_THREADS
+    real, calls = mv._push, []
+    monkeypatch.setattr(mv, "_push", lambda *a: calls.append(1) or real(*a))
+    submitted = []
+
+    class Counted(mv.ThreadPoolExecutor):
+        def submit(self, *a, **kw):
+            submitted.append(1)
+            return super().submit(*a, **kw)
+
+    monkeypatch.setattr(mv, "ThreadPoolExecutor", Counted)
+    before = set(threading.enumerate())
+    gen_ = mv.push_blocks(csr, keys, val)
+    next(gen_)
+    assert 1 <= len(calls) <= len(submitted) <= 1 + 2 * mv.PUSH_THREADS
+    assert set(threading.enumerate()) - before  # the pool's threads run
+    gen_.close()
+    assert set(threading.enumerate()) <= before
+    assert len(calls) <= len(submitted) <= 1 + 2 * mv.PUSH_THREADS
+
+
 def _accumulate_unique(keys, w, prune):
     """The ``np.unique`` reference for :func:`mv.accumulate`'s sort side."""
     uniq, inv = np.unique(keys, return_inverse=True)
