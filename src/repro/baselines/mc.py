@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines import check_unit_interval, matching_rows
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sort_keys
 from repro.walks import traces
 from repro.walks.pair_walks import MAX_STEPS
 
@@ -39,28 +39,12 @@ class MCIndex:
 def from_traces(
     node: np.ndarray, r: np.ndarray, step: np.ndarray, pos: np.ndarray, *, r_per_node: int
 ) -> MCIndex:
-    """The index over trace rows ``(node, r, step, pos)``.
-
-    The rows are ordered by one plain ``np.sort`` of each key packed with
-    its row, ``key << b | row`` (as ``matvec.accumulate`` sorts): on
-    IT-lite's 13.6M rows at ``R = 50`` that takes 0.73 s, where an
-    ``argsort`` and two gathers took 2.48 s.  Keys too wide to pack with
-    their rows in 63 bits take the ``argsort``.
-    """
+    """The index over trace rows ``(node, r, step, pos)``, ordered by key
+    with :func:`sort_keys`, each key's rows in row order."""
     span = int(pos.max(initial=-1)) + 1
     key = (r * (MAX_STEPS + 1) + step) * span + pos
-    walk = node * r_per_node + r
-    b = (key.size - 1).bit_length()
-    if (r_per_node * (MAX_STEPS + 1) * span - 1).bit_length() + b > 63:
-        order = np.argsort(key)
-        key = key[order]
-    else:
-        key <<= b
-        key |= np.arange(key.size)
-        key.sort()
-        order = key & ((1 << b) - 1)
-        key >>= b
-    return MCIndex(r_per_node, key, walk[order], span)
+    key, order = sort_keys(key, r_per_node * (MAX_STEPS + 1) * span)
+    return MCIndex(r_per_node, key, (node * r_per_node + r)[order], span)
 
 
 def preprocess(

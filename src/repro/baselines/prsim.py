@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.baselines import BudgetExceeded, check_unit_interval, matching_rows
 from repro.core import diagonal, linearized
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sort_keys
 from repro.linalg import matvec as mv
 
 
@@ -56,7 +56,7 @@ class PRSimIndex:
     L: int
     d_hat: np.ndarray
     capped: bool  # D̂'s pair budget was cut to ``max_pairs``
-    key: np.ndarray  # ℓ·n + k, sorted
+    key: np.ndarray  # ℓ·n + k, sorted; one key's rows in ascending j
     j: np.ndarray  # the node whose vector holds the entry
     val: np.ndarray  # π_j^ℓ(k)
 
@@ -115,10 +115,9 @@ def preprocess(
         keys.append(key)
         vals.append(val)
     j = np.repeat(np.arange(graph.n), [key.size for key in keys])
-    key = np.concatenate(keys)
-    order = np.argsort(key)
+    key, order = sort_keys(np.concatenate(keys), (L + 1) * graph.n)
     val = np.concatenate(vals)
-    return PRSimIndex(eps, L, d_hat, total < theory, key[order], j[order], val[order])
+    return PRSimIndex(eps, L, d_hat, total < theory, key, j[order], val[order])
 
 
 def query(

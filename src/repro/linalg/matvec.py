@@ -11,10 +11,10 @@ whole rows that it computes on :data:`PUSH_THREADS` threads and yields one
 by one, in order.  Algorithm 3's ``M^t`` rows consume the blocks as they
 come; the forward pass pushes one vector, which is one row and so one
 block, pushed in the caller's thread.  The push sums through
-:func:`accumulate` (a dense bincount, or a sort: one packed ``np.sort`` for
-many terms, ``np.unique`` for few), which Algorithm 3's small ``Z_ℓ``
-levels also use.  Every path adds each sum's terms in input order, so
-blocks, threads, sort and switch never change a bit of a result.
+:func:`accumulate` (a dense bincount, or runs of the stable
+``graph.sort_keys``), which Algorithm 3's small ``Z_ℓ`` levels also use.
+Every path adds each sum's terms in input order, so blocks, threads, sort
+and switch never change a bit of a result.
 
 Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 ``i -> j``.  Hence::
@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.graphs.graph import CSRGraph
+from repro.graphs.graph import CSRGraph, sort_keys
 
 #: Pushed edges per block in :func:`push_blocks`: a block's targets,
 #: weights and sort keys (8 bytes each per edge) stay within a core's L2.
@@ -44,11 +44,6 @@ BLOCK = 1 << 16
 #: thread costs a glibc malloc arena: an IT-lite query loop's peak RSS rose
 #: 7% with two threads and 15-16% with four, whatever the blocks in flight.
 PUSH_THREADS = 2
-
-#: Below this many terms :func:`accumulate` sorts with ``np.unique``, whose
-#: fewer numpy calls cost less than the packed sort's; above it the packed
-#: sort wins (1.4× on 6,000 and on 60,000 terms).
-SMALL_SORT = 1024
 
 #: Costs of :func:`matvec_PT`'s two paths, in ns, measured on a 4-core x86
 #: host over the vectors DB-lite and IT-lite queries pass it: summing the
@@ -209,35 +204,22 @@ def accumulate(
     """Sum ``w`` per key in ``[0, span)``; sums with ``|sum| <= prune`` drop.
 
     A dense ``np.bincount`` when there are at least ``span`` terms (so it is
-    never larger than the inputs), a sort otherwise.  The sort packs each
-    key with its input position into one ``int64``, ``key << b | i``, so one
-    plain ``np.sort`` orders the terms by key and, within a key, by input
-    position; a bincount over the sorted run ids then sums them.  Fewer than
-    :data:`SMALL_SORT` terms, or keys too wide to pack, take ``np.unique``.
-    Every path adds each key's terms in
-    input order, so the choice never changes a bit of the result.  Returns
-    the sorted keys and their sums.
+    never larger than the inputs), a sort otherwise: :func:`sort_keys`
+    orders the terms by key and, within a key, by input position, and a
+    bincount over the sorted run ids sums them.  Both paths add each key's
+    terms in input order, so the choice never changes a bit of the result.
+    Returns the sorted keys and their sums.
     """
     if keys.size >= span:
         acc = np.bincount(keys, weights=w, minlength=span)
         out = np.flatnonzero(np.abs(acc) > prune)
         return out, acc[out]
-    b = (keys.size - 1).bit_length()
-    if keys.size < SMALL_SORT or (span - 1).bit_length() + b > 63:
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.bincount(inv, weights=w, minlength=uniq.size)
-    else:
-        packed = keys << b
-        packed |= np.arange(keys.size)
-        packed.sort()
-        sorted_keys = packed >> b
-        first = np.empty(keys.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-        uniq = sorted_keys[first]
-        run = np.cumsum(first)
-        run -= 1
-        packed &= (1 << b) - 1  # each sorted term's input position
-        acc = np.bincount(run, weights=w[packed], minlength=uniq.size)
+    sorted_keys, order = sort_keys(keys, span)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    run = np.cumsum(first)
+    run -= 1
+    acc = np.bincount(run, weights=w[order])
     keep = np.abs(acc) > prune
-    return uniq[keep], acc[keep]
+    return sorted_keys[first][keep], acc[keep]

@@ -32,7 +32,7 @@ from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.graph import CSRGraph, Graph, run_partitioned
+from repro.graphs.graph import CSRGraph, Graph, run_partitioned, sort_keys
 
 #: Hard cap on walk length: the probability a √c-walk pair survives t steps is
 #: c^t, so the truncation bias at 300 steps is ~1e-66 — far below ε_min.
@@ -177,7 +177,7 @@ def make_assignments(pairs: np.ndarray) -> List[np.ndarray]:
     round-robin into at most :data:`BATCHES` batches, so every batch gets a
     share of the large and of the small allocations.
     """
-    order = np.argsort(pairs, kind="stable")[::-1]
+    order = sort_keys(pairs, int(pairs.max(initial=0)) + 1)[1][::-1]
     return [order[b::BATCHES] for b in range(min(BATCHES, order.size))]
 
 

@@ -37,6 +37,17 @@ def test_preprocess_entries_accounting():
     ) == 6 * (L + 1) * 24 + 6 * 8
 
 
+def test_preprocess_rows_within_a_key_ascend_in_j():
+    """The index is sorted by key, and the rows sharing a key come in
+    ascending ``j``: the order the per-node vectors were built in."""
+    g = gen.load("GQ-lite")
+    idx = prsim.preprocess(g, eps=5e-2, c=C, seed=1, max_pairs=10**4)
+    assert (np.diff(idx.key) >= 0).all()
+    tie = idx.key[1:] == idx.key[:-1]
+    assert tie.sum() > idx.key.size // 2
+    assert (idx.j[1:][tie] > idx.j[:-1][tie]).all()
+
+
 def test_preprocess_flags_a_capped_pair_budget():
     """D̂'s theoretical PageRank allocation (~4e5 pairs here) is walked in
     full without a cap and flagged ``capped`` when ``max_pairs`` cuts it."""

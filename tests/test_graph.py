@@ -8,7 +8,7 @@ import pytest
 from pyspark import TaskContext
 
 from repro.graphs import generators as gen
-from repro.graphs.graph import build_csr, from_edges, run_partitioned
+from repro.graphs.graph import build_csr, from_edges, run_partitioned, sort_keys
 from repro.oracle import assert_equivalent
 from tests.helpers import TRANSITION_SQL
 
@@ -58,6 +58,31 @@ def test_csr_in_degree_consistency(name):
     assert csr.in_indptr[-1] == csr.m
     recomputed = np.bincount(csr.dst, minlength=csr.n)
     np.testing.assert_array_equal(csr.din, recomputed)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5000])
+@pytest.mark.parametrize("past_limit", [False, True], ids=["packed", "argsort"])
+def test_sort_keys_matches_stable_argsort(monkeypatch, size, past_limit):
+    """``sort_keys`` is a stable argsort: duplicate-heavy keys near the top
+    of a span at the 63-bit packing limit sort without ``np.argsort``, and
+    keys past it with exactly one call; both return int64 arrays and leave
+    the input as it was."""
+    rng = np.random.default_rng(size)
+    limit = 1 << (63 - (size - 1).bit_length())  # the widest span the packing takes
+    span = 2 * limit if past_limit else limit
+    keys = min(span, 1 << 63) - 1 - rng.integers(0, 300, size) * 1_000_003
+    before = keys.copy()
+    want = np.argsort(keys, kind="stable")
+    calls = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    got, order = sort_keys(keys, span)
+    monkeypatch.undo()
+    assert len(calls) == past_limit
+    assert order.dtype == got.dtype == np.int64
+    np.testing.assert_array_equal(order, want)
+    np.testing.assert_array_equal(got, keys[want])
+    np.testing.assert_array_equal(keys, before)
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -1,8 +1,8 @@
 """Every imported name is used: a stdlib-``ast`` stand-in for a linter's
 unused-import rule, over the package, the jobs, the tests and the
 benchmarks.  ``__init__.py`` files (re-exports) and ``from __future__``
-imports are exempt.  And only an allowlist of package modules imports
-pandas."""
+imports are exempt.  Only an allowlist of package modules imports
+pandas, and only ``graph.sort_keys`` calls ``argsort``."""
 import ast
 from pathlib import Path
 
@@ -72,3 +72,44 @@ def test_only_allowlisted_package_modules_import_pandas():
         if "pandas" in imported_modules(p.read_text())
     }
     assert users <= PANDAS_ALLOWED, sorted(users - PANDAS_ALLOWED)
+
+
+def argsort_callers(source: str) -> set:
+    """Names of the functions that call ``argsort`` (``"<module>"`` at the
+    top level); a call inside a nested function counts for the nested one."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "argsort":
+                    callers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_argsort_callers_are_found():
+    src = (
+        "order = np.argsort(x)\n"
+        "def f(a):\n    def g():\n        return a.argsort()\n    return sorted(a)\n"
+        "def h(a):\n    return argsort(a)\n"
+    )
+    assert argsort_callers(src) == {"<module>", "g", "h"}
+
+
+def test_only_sort_keys_calls_argsort():
+    """One stable key sort in the package: every other module sorts through
+    ``graph.sort_keys``."""
+    pkg = ROOT / "src" / "repro"
+    callers = {
+        (p.relative_to(pkg).as_posix(), name)
+        for p in pkg.rglob("*.py")
+        for name in argsort_callers(p.read_text())
+    }
+    assert callers == {("graphs/graph.py", "sort_keys")}, sorted(callers)

@@ -348,10 +348,10 @@ def _accumulate_unique(keys, w, prune):
 
 
 def test_accumulate_packed_sort_matches_unique(monkeypatch):
-    """The packed sort returns ``np.unique``'s keys and bits: duplicate-heavy
-    keys with terms of mixed sign and magnitude, the prune drop, exactly
-    ``SMALL_SORT`` terms, and a span at the packing limit.  Fewer terms, or
-    a span past the limit, take ``np.unique`` itself."""
+    """The sort side returns ``np.unique``'s keys and bits: duplicate-heavy
+    keys with terms of mixed sign and magnitude, the prune drop, one term,
+    1,023 and 1,024 terms, and spans at and past the packing limit.  Only
+    the span past the limit calls ``np.argsort``."""
     rng = np.random.default_rng(6)
     size = 5000
     dup = rng.integers(0, 300, size) * 1_000_003  # ~17 terms per key
@@ -360,21 +360,19 @@ def test_accumulate_packed_sort_matches_unique(monkeypatch):
     limit = 1 << (63 - b)  # the widest span the packing takes
     wide = rng.integers(limit - 10**6, limit, size)
     prune = float(np.median(np.abs(_accumulate_unique(dup, w, 0.0)[1])))
-    small = mv.SMALL_SORT
-    packed = [(dup, 1 << 40, 0.0), (dup, 1 << 40, prune), (dup[:small], 1 << 40, 0.0),
-              (wide, limit, 0.0)]
-    unique = [(dup[:1], 1 << 40, 0.0), (dup[: small - 1], 1 << 40, prune),
-              (wide, 2 * limit, 0.0)]
-    want = [_accumulate_unique(k, w[: k.size], p) for k, _, p in packed + unique]
+    cases = [(dup, 1 << 40, 0.0), (dup, 1 << 40, prune), (dup[:1024], 1 << 40, 0.0),
+             (wide, limit, 0.0), (dup[:1], 1 << 40, 0.0), (dup[:1023], 1 << 40, prune),
+             (wide, 2 * limit, 0.0)]
+    want = [_accumulate_unique(k, w[: k.size], p) for k, _, p in cases]
     assert want[1][0].size < want[0][0].size
     calls = []
-    real = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    for (k, span, p), (wk, wv) in zip(packed + unique, want):
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(span) or real(*a, **kw))
+    for (k, span, p), (wk, wv) in zip(cases, want):
         gk, gv = mv.accumulate(k, w[: k.size], span, prune=p)
         np.testing.assert_array_equal(gk, wk)
         assert np.array_equal(gv, wv)
-    assert len(calls) == len(unique)
+    assert calls == [2 * limit]
 
 
 def test_expand_sparse_prunes():

@@ -247,6 +247,17 @@ def test_make_assignments_deals_batches_and_determinism():
     assert [pos.size for pos in few] == [1, 1, 1]
 
 
+def test_make_assignments_breaks_ties_like_stable_argsort():
+    """Tied ``R(k)``, zeros included, are dealt as the reversed stable
+    argsort deals them."""
+    pairs = np.random.default_rng(8).integers(0, 4, 100)
+    order = np.argsort(pairs, kind="stable")[::-1]
+    got = pair_walks.make_assignments(pairs)
+    assert len(got) == pair_walks.BATCHES
+    for b, pos in enumerate(got):
+        np.testing.assert_array_equal(pos, order[b :: pair_walks.BATCHES])
+
+
 def test_simulate_pairs_streams_distinct_across_batches(monkeypatch):
     """Every batch walks its own stream ``[seed, batch]``, and slice ``j``
     of a batch walks child ``j`` of it: the generator keys built while
